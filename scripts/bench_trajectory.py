@@ -10,15 +10,12 @@ entries are the performance trajectory the ROADMAP's "as fast as the
 hardware allows" goal is steered by.
 
 Each entry also records the *warm* fast-vs-reference comparison: the
-same matrix timed on the flat-array fast simulation core and on the
+same matrix timed on the hash-resident fast simulation core and on the
 dict-based reference oracle (best of ``--passes`` warm passes each),
 whose ratio is the fast path's speedup on real sweep work, plus a
 cold-vs-warm-cache ``repro.tuner`` timing (the warm tune must perform
 zero new simulations; its wall time is the search overhead alone), and
-a batched-vs-serial backend timing on an 8-job same-kernel batch (the
-``REPRO_BACKEND=batched`` struct-of-arrays core against eight
-independent fast-path runs; ``--check`` re-times it with a 1.2x
-floor), and the rung-0 analytic-vs-simulated cost per tuning decision
+the rung-0 analytic-vs-simulated cost per tuning decision
 (one closed-form estimate against one fast-path simulation over the
 same matrix; ``--check`` re-times it with a 20x floor — the model
 exists to be ~50x+ cheaper per decision), the reuse-graph oracle
@@ -37,7 +34,10 @@ Usage::
 
 ``--check`` is the CI bench guard: it times the warm serial matrix and
 fails (exit 1) if it regressed more than ``--tolerance`` (default 20%)
-against the last recorded entry, without appending anything.
+against the last recorded entry, then re-times every floor in
+:data:`FLOORS`, without appending anything.  A gate that cannot run
+fails: no trajectory file, an empty one, or a last entry missing a
+floor's measurement all exit 1, so a floor never goes dormant.
 """
 
 from __future__ import annotations
@@ -123,52 +123,6 @@ def _measure_fastpath(passes: int) -> dict:
         "reference_seconds": round(seconds["reference"], 3),
         "fast_seconds": round(seconds["fast"], 3),
         "speedup": round(seconds["reference"] / seconds["fast"], 2),
-        "passes": passes,
-    }
-
-
-def _batched_batch():
-    """A >= 8-job same-kernel batch (the batched backend's home turf)."""
-    from repro import api
-    from repro.gpu.backend import BatchItem
-    from repro.workloads.registry import workload
-
-    kernel = workload("NN").kernel(scale=SCALE, config=TESLA_K40)
-    items = []
-    for i in range(8):
-        scheme = ("BSL", "RD", "CLU", "CLU")[i % 4]
-        plan = None
-        if scheme != "BSL":
-            plan = api.cluster(kernel, scheme, gpu=TESLA_K40, seed=i)
-        items.append(BatchItem(plan=plan, seed=i, warmups=1))
-    return kernel, items
-
-
-def _measure_batched(passes: int) -> dict:
-    """Warm batched-backend vs serial-fastpath timing on one batch.
-
-    Both paths run the identical 8-job batch (bit-identical results —
-    see the batched differential suite); the ratio is the wall-clock
-    win of the struct-of-arrays arena + fused batch loop over eight
-    independent fast-path runs.
-    """
-    from repro.gpu.backend import simulate_batch
-
-    kernel, items = _batched_batch()
-    seconds = {}
-    for backend in ("serial", "batched"):
-        simulate_batch(TESLA_K40, kernel, items, backend=backend)  # warm
-        best = float("inf")
-        for _ in range(passes):
-            start = time.perf_counter()
-            simulate_batch(TESLA_K40, kernel, items, backend=backend)
-            best = min(best, time.perf_counter() - start)
-        seconds[backend] = best
-    return {
-        "jobs": len(items),
-        "serial_seconds": round(seconds["serial"], 3),
-        "batched_seconds": round(seconds["batched"], 3),
-        "speedup": round(seconds["serial"] / seconds["batched"], 2),
         "passes": passes,
     }
 
@@ -374,17 +328,37 @@ def _measure_tuner(passes: int) -> dict:
     }
 
 
+#: The cheap rungs the guard re-times: ``key -> (floor, measure, what)``.
+#: Each must stay at least ``floor`` times cheaper per decision than a
+#: simulation.  The analytic rung only earns its place as tuner triage
+#: if it is dramatically cheaper than simulating; the oracle bound backs
+#: the tuner's admission pruning and the tenancy oracle column, which
+#: assume asking it is nearly free; the chiplet placement matrix runs
+#: at the study's shrunken 0.3 scale, hence its lower floor.  Floors sit
+#: well under the recorded ratios so CI noise does not flake them.
+FLOORS = {
+    "analytic": (20.0, _measure_analytic,
+                 "analytic rung cheaper per decision than simulation"),
+    "bound": (15.0, _measure_bound,
+              "oracle bound cheaper per decision than simulation"),
+    "chiplet": (5.0, _measure_chiplet,
+                "chiplet placement decision cheaper analytically than "
+                "simulated"),
+}
+
+
 def _check(output: str, passes: int, tolerance: float) -> int:
-    """CI bench guard: warm serial time vs the last recorded entry."""
+    """CI bench guard: warm serial time and every floor vs the last entry."""
     if not os.path.exists(output):
-        print(f"bench check: no {output}; nothing to compare, passing")
-        return 0
+        print(f"bench check: no {output} to compare against -> FAILED")
+        return 1
     with open(output) as handle:
         trajectory = json.load(handle)
     if not trajectory:
-        print("bench check: empty trajectory, passing")
-        return 0
+        print(f"bench check: {output} has no entries -> FAILED")
+        return 1
     last = trajectory[-1]
+    commit = last.get("commit", "?")
     baseline = last.get("fastpath", {}).get("fast_seconds")
     kind = "warm fast-path"
     if baseline is None:
@@ -395,59 +369,22 @@ def _check(output: str, passes: int, tolerance: float) -> int:
     verdict = "OK" if current <= limit else "REGRESSION"
     print(f"bench check: warm serial matrix {current:.3f}s vs "
           f"{kind} baseline {baseline:.3f}s from commit "
-          f"{last.get('commit', '?')} (limit {limit:.3f}s) -> {verdict}")
+          f"{commit} (limit {limit:.3f}s) -> {verdict}")
     failed = current > limit
-    if last.get("batched") is not None:
-        # The recorded entry claims >= 1.5x on the 8-job batch; re-time
-        # with a CI-variance floor so a real regression (batched no
-        # faster than serial) fails without flaking on noisy runners.
-        floor = 1.2
-        batched = _measure_batched(passes)
-        verdict = "OK" if batched["speedup"] >= floor else "REGRESSION"
-        print(f"bench check: batched backend {batched['speedup']:.2f}x "
-              f"over serial on a {batched['jobs']}-job batch "
-              f"(recorded {last['batched']['speedup']:.2f}x, "
-              f"floor {floor:.1f}x) -> {verdict}")
-        failed = failed or batched["speedup"] < floor
-    if last.get("analytic") is not None:
-        # The analytic rung only earns its place as triage if it stays
-        # dramatically cheaper than simulating; 20x is the CI floor
-        # under the recorded ~50x+.
-        floor = 20.0
-        analytic = _measure_analytic(passes)
-        verdict = "OK" if analytic["speedup"] >= floor else "REGRESSION"
-        print(f"bench check: analytic rung {analytic['speedup']:.1f}x "
-              f"cheaper per decision than simulation "
-              f"(recorded {last['analytic']['speedup']:.1f}x, "
-              f"floor {floor:.0f}x) -> {verdict}")
-        failed = failed or analytic["speedup"] < floor
-    if last.get("bound") is not None:
-        # The oracle bound backs the tuner's admission pruning and the
-        # tenancy oracle column; both assume asking the bound is
-        # essentially free next to simulating.  Recorded entries claim
-        # >= 50x; 15x is the CI-variance floor.
-        floor = 15.0
-        bound = _measure_bound(passes)
-        verdict = "OK" if bound["speedup"] >= floor else "REGRESSION"
-        print(f"bench check: oracle bound {bound['speedup']:.1f}x "
-              f"cheaper per decision than simulation "
-              f"(recorded {last['bound']['speedup']:.1f}x, "
-              f"floor {floor:.0f}x) -> {verdict}")
-        failed = failed or bound["speedup"] < floor
-    if last.get("chiplet") is not None:
-        # Same economics on the chiplet placement decision: rung-0
-        # must stay far cheaper than a NUMA-charged simulation for
-        # placement triage to make sense.  The matrix runs at the
-        # study's shrunken 0.3 scale, so the floor sits below the
-        # tuner-scale analytic floor.
-        floor = 5.0
-        chiplet = _measure_chiplet(passes)
-        verdict = "OK" if chiplet["speedup"] >= floor else "REGRESSION"
-        print(f"bench check: chiplet placement decision "
-              f"{chiplet['speedup']:.1f}x cheaper analytically than "
-              f"simulated (recorded {last['chiplet']['speedup']:.1f}x, "
-              f"floor {floor:.0f}x) -> {verdict}")
-        failed = failed or chiplet["speedup"] < floor
+    for key, (floor, measure, what) in FLOORS.items():
+        recorded = last.get(key)
+        if recorded is None:
+            print(f"bench check: {key}: the last entry (commit {commit}) "
+                  f"has no measurement, so its {floor:.0f}x floor cannot "
+                  f"run; record a fresh entry -> MISSING")
+            failed = True
+            continue
+        speedup = measure(passes)["speedup"]
+        verdict = "OK" if speedup >= floor else "REGRESSION"
+        print(f"bench check: {key}: {speedup:.1f}x {what} "
+              f"(recorded {recorded['speedup']:.1f}x, floor "
+              f"{floor:.0f}x) -> {verdict}")
+        failed = failed or speedup < floor
     return 1 if failed else 0
 
 
@@ -490,10 +427,8 @@ def main(argv=None) -> int:
         "serial": _measure(jobs=1),
         "parallel": _measure(jobs=args.jobs),
         "fastpath": _measure_fastpath(args.passes),
-        "batched": _measure_batched(args.passes),
-        "analytic": _measure_analytic(args.passes),
-        "bound": _measure_bound(args.passes),
-        "chiplet": _measure_chiplet(args.passes),
+        **{key: measure(args.passes)
+           for key, (_floor, measure, _what) in FLOORS.items()},
         "tuner": _measure_tuner(args.passes),
     }
 

@@ -117,7 +117,7 @@ from repro.workloads.registry import (
     workload,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 
 def version_line() -> str:

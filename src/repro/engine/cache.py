@@ -59,9 +59,11 @@ def _is_hex_key(key: str) -> bool:
 #: to the unpickler, so any lookup outside this list is refused —
 #: ``os.system``-style reduce payloads never resolve a callable.  A
 #: new job kind's result type must be added here before warmup or
-#: hot-key replication can move it between nodes; an unlisted type
-#: only costs the receiving shard a recompute.
+#: hot-key replication can move it between nodes;
+#: ``tests/engine/test_cache.py`` round-trips one entry of every
+#: executor kind, so a missing type fails the suite.
 SAFE_ENTRY_GLOBALS = frozenset({
+    ("repro.analysis.bound", "BoundReport"),
     ("repro.analysis.reuse", "ReuseProfile"),
     ("repro.core.framework", "DecisionSummary"),
     ("repro.core.indexing", "PartitionDirection"),
@@ -73,6 +75,8 @@ SAFE_ENTRY_GLOBALS = frozenset({
     ("repro.gpu.refmodel", "CacheStats"),
     ("repro.kernels.kernel", "LocalityCategory"),
     ("repro.kernels.microbench", "MicrobenchResult"),
+    ("repro.tenancy.runner", "TenancyReport"),
+    ("repro.tenancy.runner", "TenantResult"),
     ("repro.tuner.core", "TuneResult"),
     ("repro.tuner.space", "Candidate"),
     ("repro.tuner.space", "ConfigPoint"),

@@ -1,4 +1,4 @@
-"""Cache model selection: reference oracle vs fast flat-array twins.
+"""Cache model selection: reference oracle vs fast hash-resident twins.
 
 The simulator's memory hierarchy has two interchangeable
 implementations:
@@ -6,9 +6,9 @@ implementations:
 * :mod:`repro.gpu.refmodel` — the original dict-based models, kept
   deliberately transparent.  They are the *golden oracle* for the
   differential harness in ``tests/differential/``.
-* :mod:`repro.gpu.fastpath` — flat-array, integer-tag
-  reimplementations plus a fused wave executor over precompiled
-  access streams.  Bit-identical to the reference (fuzzed on every CI
+* :mod:`repro.gpu.fastpath` — hash-resident reimplementations (one
+  line-to-ready-time dict per cache beside per-set recency lists)
+  plus the fused wave executor over precompiled access streams.  Bit-identical to the reference (fuzzed on every CI
   run) and the default for all sweeps.
 
 This module keeps the long-standing import site stable: the reference

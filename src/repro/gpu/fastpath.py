@@ -1,4 +1,4 @@
-"""Fast-path cache models and the compiled-stream wave executor.
+"""Fast-path cache models and the one fused wave executor.
 
 This module is the production hot path of the simulator.  It exists to
 make sweeps fast while staying **bit-identical** to the reference
@@ -10,12 +10,13 @@ you will find out within one pytest run).
 
 Where the speed comes from:
 
-* **Flat, integer-tag cache sets.**  Each set is a pair of parallel
-  Python lists (``tags``/``ready``) kept in exactly the recency order
-  the reference model's ordered dict maintains, so lookups are C-level
-  ``list.index`` scans over at most ``assoc`` machine ints and LRU
-  touches are C-level ``del``/``append`` — no per-access dict or deque
-  churn, no hashing, no boxed keys surviving beyond the set.
+* **Hash-resident caches.**  One dict per cache maps each resident
+  line number to the cycle its fill completes, so a hit or a miss is
+  one ``dict.get``.  Per-set tag lists keep the reference model's
+  dict-key order (the LRU order, and the index space of the
+  pseudo-random victim pick), so an LRU touch is a ``remove``/
+  ``append`` on at most ``assoc`` ints, skipped outright when the line
+  is already most recent, and an eviction is one ``pop``.
 
 * **Precompiled access streams.**  The reference path re-coalesces
   every warp access into L1 segments and L2 sub-transactions on every
@@ -23,16 +24,26 @@ Where the speed comes from:
   ``(l1_line, l2_line)`` geometry into flat op tuples (see
   :func:`repro.kernels.access.compile_trace`) that are memoized and
   interned on the :class:`~repro.kernels.kernel.KernelSpec`, so the
-  coalescer runs once per CTA per cache geometry for a whole sweep —
-  across warm-ups, schemes, plans and platforms that share it.
+  coalescer runs once per CTA per cache geometry for a whole sweep.
 
-* **A fused wave loop.**  :func:`execute_wave` inlines the L1/L2
-  access logic into the interleave loop: bound methods, config scalars
-  and stats counters all live in locals, and counters are flushed to
-  the metrics/stat objects once per wave.
+* **A memoized chunk schedule.**  Which CTA runs which ops in what
+  order is a pure function of the co-resident trace lengths, the
+  interleave chunk and the join stagger; :func:`chunk_schedule`
+  computes it once as ``(slot, start, stop)`` chunks, and full waves
+  of a kernel share one schedule for a whole sweep.
+
+* **One fused wave loop.**  :func:`execute_wave` inlines the L1 and
+  L2 logic into the schedule walk.  Config scalars and every counter
+  live in locals and are flushed once per wave; counters that follow
+  from others are never kept (each L2 miss is one DRAM transaction,
+  each L2 access a read or a write transaction), and when the L1 and
+  L2 lines are the same size an L1 miss fills with one L2 read of the
+  same line number instead of a loop.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from repro.gpu.refmodel import CacheStats
 from repro.gpu.config import WritePolicy
@@ -44,15 +55,17 @@ _LCG_MASK = 0xFFFFFFFF
 
 
 class FastSetAssociativeCache:
-    """Flat-array twin of :class:`repro.gpu.refmodel.SetAssociativeCache`.
+    """Hash-resident twin of :class:`repro.gpu.refmodel.SetAssociativeCache`.
 
-    Each set is a pair of parallel lists, ``tags`` and ``ready``,
-    maintained in the reference model's dict-key order (insertion
-    order, with LRU touches moving a line to the back).  That ordering
-    is what makes the two models bit-identical: the LRU victim is
-    ``tags[0]`` exactly when the reference evicts its first dict key,
-    and the pseudo-random victim at position ``k`` names the same line
-    in both.
+    Residency and fill times live in one dict per cache, ``_ready``,
+    mapping each resident line number to the cycle its fill completes,
+    so a hit or miss is one ``dict.get``.  Each set also keeps a
+    ``_tags`` list of its lines in the reference model's dict-key
+    order (insertion order, with LRU touches moving a line to the
+    back).  That order is what makes the two models bit-identical: the
+    LRU victim is ``tags[0]`` exactly when the reference evicts its
+    first dict key, and the pseudo-random victim at position ``k``
+    names the same line in both.
     """
 
     __slots__ = ("line_size", "n_sets", "assoc", "write_policy",
@@ -72,7 +85,7 @@ class FastSetAssociativeCache:
         self.assoc = assoc
         self.write_policy = write_policy
         self._tags = [[] for _ in range(self.n_sets)]
-        self._ready = [[] for _ in range(self.n_sets)]
+        self._ready = {}
         self.stats = CacheStats()
         self._random_replacement = random_replacement
         self._rng_state = seed & _LCG_MASK
@@ -85,12 +98,17 @@ class FastSetAssociativeCache:
         if level is not None:
             self._level = level
 
-    def _victim_index(self, tags) -> int:
-        """Index of the line to evict from a full set."""
-        if not self._random_replacement:
-            return 0  # LRU: front of the recency order
-        self._rng_state = (self._rng_state * _LCG_MUL + _LCG_ADD) & _LCG_MASK
-        return (self._rng_state >> 16) % len(tags)
+    def _evict(self, tags, now: float) -> None:
+        """Drop one line from a full set (LRU front or an LCG pick)."""
+        if self._random_replacement:
+            self._rng_state = (self._rng_state * _LCG_MUL
+                               + _LCG_ADD) & _LCG_MASK
+            victim = tags.pop((self._rng_state >> 16) % self.assoc)
+        else:
+            victim = tags.pop(0)
+        del self._ready[victim]
+        if self._tracer is not None:
+            self._tracer.cache_event(self._level, "eviction", now)
 
     def access(self, addr: int, now: float, miss_fill_latency: float,
                is_write: bool = False) -> "tuple[bool, float]":
@@ -98,18 +116,13 @@ class FastSetAssociativeCache:
         stats = self.stats
         stats.accesses += 1
         line = addr // self.line_size
-        index = line % self.n_sets
-        tags = self._tags[index]
-        ready_list = self._ready[index]
-        try:
-            i = tags.index(line)
-        except ValueError:
-            i = -1
+        resident = self._ready
+        ready = resident.get(line)
 
         if is_write and self.write_policy is WritePolicy.WRITE_EVICT:
-            if i >= 0:
-                del tags[i]
-                del ready_list[i]
+            if ready is not None:
+                self._tags[line % self.n_sets].remove(line)
+                del resident[line]
                 stats.write_evictions += 1
                 if self._tracer is not None:
                     self._tracer.cache_event(self._level, "write_eviction",
@@ -117,14 +130,12 @@ class FastSetAssociativeCache:
             stats.misses += 1
             return False, now
 
-        if i >= 0:
-            ready = ready_list[i]
+        if ready is not None:
             stats.hits += 1
             if not self._random_replacement:
-                del tags[i]
-                del ready_list[i]
-                tags.append(line)
-                ready_list.append(ready)  # LRU touch
+                tags = self._tags[line % self.n_sets]
+                tags.remove(line)
+                tags.append(line)  # LRU touch
             if ready > now:
                 stats.reserved_hits += 1
                 if self._tracer is not None:
@@ -136,49 +147,33 @@ class FastSetAssociativeCache:
         stats.misses += 1
         if self._tracer is not None:
             self._tracer.cache_event(self._level, "miss", now)
+        tags = self._tags[line % self.n_sets]
         if len(tags) >= self.assoc:
-            v = self._victim_index(tags)
-            del tags[v]
-            del ready_list[v]
-            if self._tracer is not None:
-                self._tracer.cache_event(self._level, "eviction", now)
+            self._evict(tags, now)
         tags.append(line)
-        ready_list.append(now + miss_fill_latency)
+        resident[line] = now + miss_fill_latency
         return False, now + miss_fill_latency
 
     def contains(self, addr: int) -> bool:
         """Whether the line holding ``addr`` is resident (no LRU touch)."""
-        line = addr // self.line_size
-        return line in self._tags[line % self.n_sets]
+        return addr // self.line_size in self._ready
 
     def install(self, addr: int, ready_at: float) -> None:
         """Install a line without counting an access (prefetch fills)."""
         line = addr // self.line_size
-        index = line % self.n_sets
-        tags = self._tags[index]
-        ready_list = self._ready[index]
-        try:
-            i = tags.index(line)
-        except ValueError:
-            i = -1
-        if i >= 0:
-            del tags[i]
-            del ready_list[i]
+        tags = self._tags[line % self.n_sets]
+        if line in self._ready:
+            tags.remove(line)
         elif len(tags) >= self.assoc:
-            v = self._victim_index(tags)
-            del tags[v]
-            del ready_list[v]
-            if self._tracer is not None:
-                self._tracer.cache_event(self._level, "eviction", ready_at)
+            self._evict(tags, ready_at)
         tags.append(line)
-        ready_list.append(ready_at)
+        self._ready[line] = ready_at
 
     def flush(self) -> None:
         """Drop all resident lines (counters are preserved)."""
         for tags in self._tags:
             tags.clear()
-        for ready_list in self._ready:
-            ready_list.clear()
+        self._ready.clear()
 
     def reset_stats(self) -> None:
         """Zero the counters without disturbing resident lines."""
@@ -186,14 +181,17 @@ class FastSetAssociativeCache:
 
     def settle(self) -> None:
         """Mark every pending fill as complete."""
-        ready = self._ready
-        for i, ready_list in enumerate(ready):
-            if ready_list:
-                ready[i] = [0.0] * len(ready_list)
+        self._ready = dict.fromkeys(self._ready, 0.0)
 
 
 class FastSectoredCache:
-    """Flat-array twin of :class:`repro.gpu.refmodel.SectoredCache`."""
+    """Twin of :class:`repro.gpu.refmodel.SectoredCache`.
+
+    The sectors keep private lines but share one :class:`CacheStats`:
+    the aggregate is the only view either model exposes, and one shared
+    counter set lets the fused wave loop credit a whole wave's L1
+    traffic without tracking which sector each access went through.
+    """
 
     def __init__(self, size: int, line_size: int, assoc: int, sectors: int,
                  write_policy: WritePolicy = WritePolicy.WRITE_EVICT):
@@ -208,6 +206,7 @@ class FastSectoredCache:
             for _ in range(sectors)
         ]
         self.line_size = line_size
+        self.reset_stats()
 
     def access(self, addr: int, now: float, miss_fill_latency: float,
                is_write: bool = False, sector: int = 0) -> "tuple[bool, float]":
@@ -229,8 +228,9 @@ class FastSectoredCache:
             part.flush()
 
     def reset_stats(self) -> None:
+        self._stats = CacheStats()
         for part in self._parts:
-            part.reset_stats()
+            part.stats = self._stats
 
     def settle(self) -> None:
         for part in self._parts:
@@ -238,10 +238,8 @@ class FastSectoredCache:
 
     @property
     def stats(self) -> CacheStats:
-        total = CacheStats()
-        for part in self._parts:
-            total.merge(part.stats)
-        return total
+        """A snapshot of the counters summed over every sector."""
+        return dataclasses.replace(self._stats)
 
 
 def is_fast_caches(l1s, l2) -> bool:
@@ -250,16 +248,68 @@ def is_fast_caches(l1s, l2) -> bool:
             and all(isinstance(l1, FastSectoredCache) for l1 in l1s))
 
 
+#: Chunk-schedule memo: ``(lengths, interleave, join_stagger)`` -> chunks.
+#: Full waves of a kernel share one length tuple, so a sweep needs a
+#: handful of entries per kernel; cleared wholesale at the cap.
+_SCHEDULES: dict = {}
+_SCHEDULES_CAP = 1024
+
+
+def chunk_schedule(lengths: tuple, interleave: int,
+                   join_stagger: int) -> tuple:
+    """The interleave order of one wave as ``(slot, start, stop)`` chunks.
+
+    Co-resident traces run chunk-round-robin, ``interleave`` ops per
+    turn, and slot ``k`` joins ``join_stagger`` ops after slot ``k-1``
+    (or at once, when every active slot has finished).  The order is a
+    pure function of the trace lengths, so it is computed once per
+    distinct ``lengths`` and memoized.
+    """
+    key = (lengths, interleave, join_stagger)
+    chunks = _SCHEDULES.get(key)
+    if chunks is not None:
+        return chunks
+    n = len(lengths)
+    indices = [0] * n
+    remaining = sum(lengths)
+    out = []
+    active = 1
+    since_join = 0
+    while remaining:
+        progressed = False
+        for slot in range(active):
+            i = indices[slot]
+            length = lengths[slot]
+            if i >= length:
+                continue
+            progressed = True
+            stop = i + interleave
+            if stop > length:
+                stop = length
+            out.append((slot, i, stop))
+            indices[slot] = stop
+            remaining -= stop - i
+            since_join += stop - i
+        if active < n and (since_join >= join_stagger or not progressed):
+            active += 1
+            since_join = 0
+    if len(_SCHEDULES) >= _SCHEDULES_CAP:
+        _SCHEDULES.clear()
+    chunks = _SCHEDULES[key] = tuple(out)
+    return chunks
+
+
 def execute_wave(sim, kernel, cta_ids, start, l1, l2, metrics,
                  record_per_cta, sm_id, turnaround, prefetch_targets,
                  plan, tracer=None):
     """Fused twin of ``GpuSimulator._execute_wave``.
 
     Consumes precompiled access ops (see
-    :meth:`repro.kernels.kernel.KernelSpec.compiled_trace`) and inlines
-    both cache levels into the interleave loop.  Arithmetic order is
-    identical to the reference executor access by access, so cursors,
-    per-CTA cycles and every counter match bit for bit.
+    :meth:`repro.kernels.kernel.KernelSpec.compiled_trace`) in the
+    memoized :func:`chunk_schedule` order and inlines both cache levels
+    into one loop.  Arithmetic order is identical to the reference
+    executor access by access, so cursors, per-CTA cycles and every
+    counter match bit for bit.
     """
     from repro.gpu.metrics import CtaRecord
 
@@ -274,8 +324,6 @@ def execute_wave(sim, kernel, cta_ids, start, l1, l2, metrics,
     bypass = plan.bypass_streams
     sectors = config.l1_sectors
     l1_enabled = sim.l1_enabled
-    interleave = sim.interleave_chunk
-    join_stagger = sim.join_stagger
     reserved_exposure = sim.reserved_exposure
 
     # --- constants hoisted out of the access loop ---------------------
@@ -283,18 +331,22 @@ def execute_wave(sim, kernel, cta_ids, start, l1, l2, metrics,
     l2_latency = config.l2_latency
     dram_latency = config.dram_latency
     l2_fill = dram_latency - l2_latency
+    # An L1 line filled from DRAM waits for whichever is slower.
+    miss_latency = max(l2_latency, dram_latency)
     l2_service = config.l2_service_cycles
     dram_service = config.dram_service_cycles
 
     # --- raw L2 structure (random replacement, write-back-allocate) ---
+    # Every L2 miss is exactly one DRAM transaction, and every L2
+    # access is a read or a write transaction, so misses and the two
+    # transaction counts are the only L2 counters the loop keeps.
     l2_line_size = l2.line_size
     l2_n_sets = l2.n_sets
     l2_assoc = l2.assoc
     l2_tags = l2._tags
-    l2_readys = l2._ready
+    l2_ready = l2._ready
     l2_rng = l2._rng_state
-    l2_acc = l2_misses = l2_reserved = 0
-    l2_read_txn = l2_write_txn = dram_txn = 0
+    l2_misses = l2_reserved = l2_read_txn = l2_write_txn = 0
 
     # --- multi-chiplet NUMA constants (inert on a flat die) -----------
     # Ownership is pure address arithmetic over L2 line numbers; with
@@ -312,311 +364,253 @@ def execute_wave(sim, kernel, cta_ids, start, l1, l2, metrics,
     dram_remote = 0
 
     # --- raw L1 structure (LRU, write-evict), one part per sector ----
+    # Every part has the same geometry, and the parts share one stats
+    # object, so only the tag lists and the resident map differ by slot.
     parts = l1._parts
     l1_line_size = l1.line_size
+    l1_n_sets = parts[0].n_sets
+    l1_assoc = parts[0].assoc
+    sub_per_line = l1_line_size // l2_line_size
     n_parts = len(parts)
-    l1_counts = [[0, 0, 0, 0, 0] for _ in parts]  # acc/hit/miss/resv/wev
+    l1_acc = l1_misses = l1_reserved = l1_write_evictions = 0
 
     traces = [kernel.compiled_trace(v, l1_line_size, l2_line_size)
               for v in cta_ids]
-    lengths = [len(t) for t in traces]
+    lengths = tuple([len(t) for t in traces])
+    schedule = chunk_schedule(lengths, sim.interleave_chunk,
+                              sim.join_stagger)
 
     # The sector (and hence L1 part) a CTA's accesses hit depends only
-    # on its slot, so resolve tag/ready/geometry/counter references
-    # once per slot instead of once per chunk.
+    # on its slot, so resolve it once per slot instead of once per chunk.
     slot_states = []
     for slot in range(n):
-        p = ((slot * sectors) // n) % n_parts
-        part = parts[p]
-        slot_states.append((part._tags, part._ready, part.n_sets,
-                            part.assoc, l1_counts[p]))
+        part = parts[((slot * sectors) // n) % n_parts]
+        slot_states.append((traces[slot], part._tags, part._ready))
 
     trace_on = tracer is not None
+    # Reads skip the L1 when it is disabled, and streaming accesses skip
+    # it under a bypass plan; writes then skip the L1 invalidation too.
     maybe_bypass = (not l1_enabled) or bypass
     need_cycles = record_per_cta or trace_on
+    single_fill = sub_per_line == 1
     _len = len  # LOAD_FAST beats a builtin lookup on the hot path
 
     cursor = start
     cta_cycles = [0.0] * n
-    indices = [0] * n
-    remaining = sum(lengths)
-    metrics.warp_accesses += remaining
-    active = 1
-    since_join = 0
-    while remaining:
-        progressed = False
-        for slot in range(active):
-            i = indices[slot]
-            length = lengths[slot]
-            if i >= length:
-                continue
-            progressed = True
-            stop = i + interleave
-            if stop > length:
-                stop = length
-            p_tags, p_readys, p_n_sets, p_assoc, counts = slot_states[slot]
-            for op in traces[slot][i:stop]:
-                is_write, is_stream, l1_ops, l2_lines = op
+    metrics.warp_accesses += sum(lengths)
+    for slot, i, stop in schedule:
+        trace, p_tags, p_ready = slot_states[slot]
+        for is_write, is_stream, l1_ops, l2_lines in trace[i:stop]:
+            if is_write or (maybe_bypass
+                            and (not l1_enabled or (bypass and is_stream))):
                 # ----------------------------------------------------
-                # inline _do_access
+                # straight to the L2: a write (the L1 is write-evict:
+                # it drops its copies and forwards the data) or a read
+                # that bypasses the L1
                 # ----------------------------------------------------
+                worst = l2_latency
+                service = 0.0
                 if is_write:
-                    service = 0.0
+                    l2_write_txn += _len(l2_lines)
                     if l1_enabled and not (bypass and is_stream):
                         nsegs = _len(l1_ops)
-                        counts[0] += nsegs
-                        counts[2] += nsegs
+                        l1_acc += nsegs
+                        l1_misses += nsegs
                         for line, _subs in l1_ops:
-                            s_idx = line % p_n_sets
-                            tags = p_tags[s_idx]
-                            if line in tags:
-                                k = tags.index(line)
-                                del tags[k]
-                                del p_readys[s_idx][k]
-                                counts[4] += 1
+                            if line in p_ready:
+                                p_tags[line % l1_n_sets].remove(line)
+                                del p_ready[line]
+                                l1_write_evictions += 1
                                 if trace_on:
-                                    tracer.cache_event("L1",
-                                                       "write_eviction",
+                                    tracer.cache_event("L1", "write_eviction",
                                                        cursor)
-                    l2_acc += _len(l2_lines)
-                    l2_write_txn += _len(l2_lines)
-                    for line in l2_lines:
-                        s_idx = line % l2_n_sets
-                        tags = l2_tags[s_idx]
-                        readys = l2_readys[s_idx]
-                        if line in tags:
-                            k = tags.index(line)
-                            if readys[k] > cursor:
-                                l2_reserved += 1
-                                if trace_on:
-                                    tracer.cache_event("L2", "reserved_hit",
-                                                       cursor)
-                            hit = True
-                        else:
-                            l2_misses += 1
-                            if trace_on:
-                                tracer.cache_event("L2", "miss", cursor)
-                            if _len(tags) >= l2_assoc:
-                                l2_rng = (l2_rng * _LCG_MUL
-                                          + _LCG_ADD) & _LCG_MASK
-                                v = (l2_rng >> 16) % _len(tags)
-                                del tags[v]
-                                del readys[v]
-                                if trace_on:
-                                    tracer.cache_event("L2", "eviction",
-                                                       cursor)
-                            tags.append(line)
-                            remote = topo_on and (line // lines_per_block) \
-                                % n_chiplets != home
-                            if remote:
-                                readys.append(cursor + l2_fill_remote)
-                            else:
-                                readys.append(cursor + l2_fill)
-                            hit = False
-                        service += l2_service
-                        if not hit:
-                            dram_txn += 1
-                            service += dram_service
-                            if remote:
-                                dram_remote += 1
-                                service += hop_service
-                    latency = 0.0
-                elif maybe_bypass and (not l1_enabled
-                                       or (bypass and is_stream)):
-                    worst = l2_latency
-                    service = 0.0
-                    l2_acc += _len(l2_lines)
+                else:
                     l2_read_txn += _len(l2_lines)
-                    for line in l2_lines:
-                        s_idx = line % l2_n_sets
-                        tags = l2_tags[s_idx]
-                        readys = l2_readys[s_idx]
-                        if line in tags:
-                            k = tags.index(line)
-                            ready = readys[k]
-                            if ready > cursor:
-                                l2_reserved += 1
-                                if trace_on:
-                                    tracer.cache_event("L2", "reserved_hit",
-                                                       cursor)
-                                hit_ready = ready
-                            else:
-                                hit_ready = cursor
-                            service += l2_service
-                            wait = (hit_ready - cursor) * reserved_exposure \
-                                if hit_ready > cursor else 0.0
-                            candidate = l2_latency + wait
+                for line in l2_lines:
+                    ready = l2_ready.get(line)
+                    if ready is not None:
+                        service += l2_service
+                        if ready > cursor:
+                            l2_reserved += 1
+                            if trace_on:
+                                tracer.cache_event("L2", "reserved_hit",
+                                                   cursor)
+                            candidate = l2_latency \
+                                + (ready - cursor) * reserved_exposure
                             if candidate > worst:
                                 worst = candidate
+                        continue
+                    l2_misses += 1
+                    if trace_on:
+                        tracer.cache_event("L2", "miss", cursor)
+                    tags = l2_tags[line % l2_n_sets]
+                    if _len(tags) >= l2_assoc:
+                        l2_rng = (l2_rng * _LCG_MUL + _LCG_ADD) & _LCG_MASK
+                        del l2_ready[tags.pop((l2_rng >> 16) % l2_assoc)]
+                        if trace_on:
+                            tracer.cache_event("L2", "eviction", cursor)
+                    tags.append(line)
+                    if topo_on and (line // lines_per_block) \
+                            % n_chiplets != home:
+                        l2_ready[line] = cursor + l2_fill_remote
+                        service = (service + l2_service + dram_service
+                                   + hop_service)
+                        dram_remote += 1
+                        if dram_latency_remote > worst:
+                            worst = dram_latency_remote
+                    else:
+                        l2_ready[line] = cursor + l2_fill
+                        service = service + l2_service + dram_service
+                        if dram_latency > worst:
+                            worst = dram_latency
+                # stores do not stall the warp
+                latency = 0.0 if is_write else worst
+            else:
+                # ----------------------------------------------------
+                # a read through the L1; each miss fills the L1 line
+                # from ``sub_per_line`` consecutive L2 lines
+                # ----------------------------------------------------
+                worst = l1_latency
+                service = 0.0
+                l1_acc += _len(l1_ops)
+                for line, subs in l1_ops:
+                    ready = p_ready.get(line)
+                    if ready is not None:
+                        # LRU touch: move to the back, unless it is
+                        # already there -- the common case under
+                        # clustering, where ganged CTAs re-read each
+                        # other's lines.
+                        tags = p_tags[line % l1_n_sets]
+                        if tags[-1] != line:
+                            tags.remove(line)
+                            tags.append(line)
+                        if ready > cursor:
+                            l1_reserved += 1
+                            if trace_on:
+                                tracer.cache_event("L1", "reserved_hit",
+                                                   cursor)
+                            candidate = l1_latency \
+                                + (ready - cursor) * reserved_exposure
+                            if candidate > worst:
+                                worst = candidate
+                        continue
+                    l1_misses += 1
+                    if trace_on:
+                        tracer.cache_event("L1", "miss", cursor)
+                    tags = p_tags[line % l1_n_sets]
+                    if _len(tags) >= l1_assoc:
+                        del p_ready[tags.pop(0)]
+                        if trace_on:
+                            tracer.cache_event("L1", "eviction", cursor)
+                    tags.append(line)
+                    l2_read_txn += sub_per_line
+                    if single_fill:
+                        # Equal line sizes (Maxwell/Pascal): the fill is
+                        # one L2 read, of the L2 line numbered ``line``.
+                        ready = l2_ready.get(line)
+                        if ready is not None:
+                            service += l2_service
+                            line_latency = l2_latency
+                            if ready > cursor:
+                                l2_reserved += 1
+                                if trace_on:
+                                    tracer.cache_event("L2", "reserved_hit",
+                                                       cursor)
                         else:
                             l2_misses += 1
                             if trace_on:
                                 tracer.cache_event("L2", "miss", cursor)
+                            tags = l2_tags[line % l2_n_sets]
                             if _len(tags) >= l2_assoc:
                                 l2_rng = (l2_rng * _LCG_MUL
                                           + _LCG_ADD) & _LCG_MASK
-                                v = (l2_rng >> 16) % _len(tags)
-                                del tags[v]
-                                del readys[v]
+                                del l2_ready[tags.pop((l2_rng >> 16)
+                                                      % l2_assoc)]
                                 if trace_on:
                                     tracer.cache_event("L2", "eviction",
                                                        cursor)
                             tags.append(line)
-                            remote = topo_on and (line // lines_per_block) \
-                                % n_chiplets != home
-                            if remote:
-                                readys.append(cursor + l2_fill_remote)
-                            else:
-                                readys.append(cursor + l2_fill)
-                            service += l2_service
-                            dram_txn += 1
-                            service += dram_service
-                            if remote:
+                            if topo_on and (line // lines_per_block) \
+                                    % n_chiplets != home:
+                                l2_ready[line] = cursor + l2_fill_remote
+                                service = (service + l2_service
+                                           + dram_service + hop_service)
                                 dram_remote += 1
-                                service += hop_service
-                                if dram_latency_remote > worst:
-                                    worst = dram_latency_remote
-                            elif dram_latency > worst:
-                                worst = dram_latency
-                    latency = worst
-                else:
-                    worst = l1_latency
-                    service = 0.0
-                    counts[0] += _len(l1_ops)
-                    for line, subs in l1_ops:
-                        s_idx = line % p_n_sets
-                        tags = p_tags[s_idx]
-                        # MRU shortcut: when the line is already at the
-                        # back of the recency order the LRU touch is a
-                        # no-op — the common case under clustering,
-                        # where ganged CTAs re-read each other's lines.
-                        if tags and tags[-1] == line:
-                            ready = p_readys[s_idx][-1]
-                            if ready > cursor:
-                                counts[3] += 1
-                                if trace_on:
-                                    tracer.cache_event("L1", "reserved_hit",
-                                                       cursor)
-                                wait = (ready - cursor) * reserved_exposure
-                                candidate = l1_latency + wait
-                                if candidate > worst:
-                                    worst = candidate
-                            continue
-                        readys = p_readys[s_idx]
-                        if line in tags:
-                            k = tags.index(line)
-                            ready = readys[k]
-                            # LRU touch: move to the back
-                            del tags[k]
-                            del readys[k]
-                            tags.append(line)
-                            readys.append(ready)
-                            if ready > cursor:
-                                counts[3] += 1
-                                if trace_on:
-                                    tracer.cache_event("L1", "reserved_hit",
-                                                       cursor)
-                                wait = (ready - cursor) * reserved_exposure
-                                candidate = l1_latency + wait
-                                if candidate > worst:
-                                    worst = candidate
-                            continue
-                        counts[2] += 1
-                        if trace_on:
-                            tracer.cache_event("L1", "miss", cursor)
-                        if _len(tags) >= p_assoc:
-                            del tags[0]
-                            del readys[0]
-                            if trace_on:
-                                tracer.cache_event("L1", "eviction", cursor)
-                        tags.append(line)
-                        # The reference inserts at fill-time ``cursor``
-                        # then installs the real completion over it;
-                        # the line is last in recency order either
-                        # way, so write the final value directly.
+                                line_latency = dram_latency_remote
+                            else:
+                                l2_ready[line] = cursor + l2_fill
+                                service = (service + l2_service
+                                           + dram_service)
+                                line_latency = miss_latency
+                    else:
                         line_latency = l2_latency
-                        l2_acc += _len(subs)
-                        l2_read_txn += _len(subs)
                         for sline in subs:
-                            sub_idx = sline % l2_n_sets
-                            stags = l2_tags[sub_idx]
-                            sreadys = l2_readys[sub_idx]
-                            if sline in stags:
-                                k = stags.index(sline)
-                                if sreadys[k] > cursor:
+                            ready = l2_ready.get(sline)
+                            if ready is not None:
+                                service += l2_service
+                                if ready > cursor:
                                     l2_reserved += 1
                                     if trace_on:
                                         tracer.cache_event(
                                             "L2", "reserved_hit", cursor)
-                                sub_hit = True
-                            else:
-                                l2_misses += 1
+                                continue
+                            l2_misses += 1
+                            if trace_on:
+                                tracer.cache_event("L2", "miss", cursor)
+                            tags = l2_tags[sline % l2_n_sets]
+                            if _len(tags) >= l2_assoc:
+                                l2_rng = (l2_rng * _LCG_MUL
+                                          + _LCG_ADD) & _LCG_MASK
+                                del l2_ready[tags.pop((l2_rng >> 16)
+                                                      % l2_assoc)]
                                 if trace_on:
-                                    tracer.cache_event("L2", "miss", cursor)
-                                if _len(stags) >= l2_assoc:
-                                    l2_rng = (l2_rng * _LCG_MUL
-                                              + _LCG_ADD) & _LCG_MASK
-                                    v = (l2_rng >> 16) % _len(stags)
-                                    del stags[v]
-                                    del sreadys[v]
-                                    if trace_on:
-                                        tracer.cache_event("L2", "eviction",
-                                                           cursor)
-                                stags.append(sline)
-                                sremote = topo_on \
-                                    and (sline // lines_per_block) \
-                                    % n_chiplets != home
-                                if sremote:
-                                    sreadys.append(cursor + l2_fill_remote)
-                                else:
-                                    sreadys.append(cursor + l2_fill)
-                                sub_hit = False
-                            service += l2_service
-                            if not sub_hit:
-                                dram_txn += 1
-                                service += dram_service
-                                if sremote:
-                                    dram_remote += 1
-                                    service += hop_service
-                                    line_latency = dram_latency_remote
-                                elif line_latency < dram_latency:
-                                    line_latency = dram_latency
-                        readys.append(cursor + line_latency)
-                        if line_latency > worst:
-                            worst = line_latency
-                    latency = worst
-                # ----------------------------------------------------
-                if need_cycles:
-                    step = alu_step + latency / hiding + service
-                    cursor += step
-                    cta_cycles[slot] += step
-                else:
-                    cursor += alu_step + latency / hiding + service
-            taken = stop - i
-            indices[slot] = stop
-            remaining -= taken
-            since_join += taken
-        if active < n and (since_join >= join_stagger or not progressed):
-            active += 1
-            since_join = 0
+                                    tracer.cache_event("L2", "eviction",
+                                                       cursor)
+                            tags.append(sline)
+                            if topo_on and (sline // lines_per_block) \
+                                    % n_chiplets != home:
+                                l2_ready[sline] = cursor + l2_fill_remote
+                                service = (service + l2_service
+                                           + dram_service + hop_service)
+                                dram_remote += 1
+                                line_latency = dram_latency_remote
+                            else:
+                                l2_ready[sline] = cursor + l2_fill
+                                service = (service + l2_service
+                                           + dram_service)
+                                if line_latency < miss_latency:
+                                    line_latency = miss_latency
+                    # The reference inserts at fill time ``cursor``,
+                    # then installs the real completion over it; the
+                    # final value is all anyone observes.
+                    p_ready[line] = cursor + line_latency
+                    if line_latency > worst:
+                        worst = line_latency
+                latency = worst
+            if need_cycles:
+                step = alu_step + latency / hiding + service
+                cursor += step
+                cta_cycles[slot] += step
+            else:
+                cursor += alu_step + latency / hiding + service
 
     # flush local counters back to the stat objects
     l2._rng_state = l2_rng
+    l2_acc = l2_read_txn + l2_write_txn
     l2s = l2.stats
     l2s.accesses += l2_acc
     l2s.hits += l2_acc - l2_misses
     l2s.misses += l2_misses
     l2s.reserved_hits += l2_reserved
-    for part, counts in zip(parts, l1_counts):
-        ps = part.stats
-        ps.accesses += counts[0]
-        ps.hits += counts[0] - counts[2]
-        ps.misses += counts[2]
-        ps.reserved_hits += counts[3]
-        ps.write_evictions += counts[4]
+    l1s = l1._stats
+    l1s.accesses += l1_acc
+    l1s.hits += l1_acc - l1_misses
+    l1s.misses += l1_misses
+    l1s.reserved_hits += l1_reserved
+    l1s.write_evictions += l1_write_evictions
     metrics.l2_read_transactions += l2_read_txn
     metrics.l2_write_transactions += l2_write_txn
-    metrics.dram_transactions += dram_txn
+    metrics.dram_transactions += l2_misses
     metrics.dram_remote_transactions += dram_remote
 
     # prefetch the head of each agent's next task (Section 4.3-III):

@@ -130,7 +130,7 @@ class GpuSimulator:
         if caches is None:
             caches = self.fresh_caches()
         l1s, l2 = caches
-        # The fused loop needs the flat-array models; a caller handing
+        # The fused loop needs the fast-path models; a caller handing
         # us reference caches gets the reference loop (still correct,
         # just slower).  Either loop drives either cache type through
         # the same arithmetic, so results never depend on this choice.
@@ -518,8 +518,7 @@ class GpuSimulator:
 def simulate(gpu, kernel: KernelSpec, plan: ExecutionPlan = None, *,
              seed: int = 0, warmups: int = 1,
              record_per_cta: bool = False, tracer=None,
-             caches=None, fast: bool = None,
-             backend: str = None) -> KernelMetrics:
+             caches=None, fast: bool = None) -> KernelMetrics:
     """The single measurement entry point.
 
     Runs ``warmups`` warm-up launches with preserved cache contents,
@@ -538,21 +537,11 @@ def simulate(gpu, kernel: KernelSpec, plan: ExecutionPlan = None, *,
     the returned metrics describe.
 
     ``fast`` selects the simulation core: ``True`` (the process
-    default) runs the flat-array fast path of
+    default) runs the hash-resident fast path of
     :mod:`repro.gpu.fastpath`, ``False`` the dict-based reference
     models of :mod:`repro.gpu.refmodel`.  The two are bit-identical —
     the differential harness proves it on every CI run — so the flag
     only ever changes wall-clock time, never a result.
-
-    ``backend`` selects the execution backend (``"serial"`` /
-    ``"batched"``; default from ``REPRO_BACKEND``, see
-    :mod:`repro.gpu.backend`).  ``"batched"`` routes the call through
-    the struct-of-arrays batch core as a one-job batch — pooled cache
-    arenas and memoized chunk schedules then amortize across repeated
-    calls.  Backends are bit-identical; requests the batch core cannot
-    take (caller-held ``caches=``, the reference models, a customized
-    simulator subclass) silently run serially, which never changes a
-    result either.
     """
     if isinstance(gpu, GpuSimulator):
         simulator = gpu
@@ -567,19 +556,6 @@ def simulate(gpu, kernel: KernelSpec, plan: ExecutionPlan = None, *,
         simulator = GpuSimulator(gpu, fast=fast)
     if warmups < 0:
         raise ValueError(f"warmups must be >= 0, got {warmups}")
-    from repro.gpu.backend import BatchItem, resolve_backend
-    if (resolve_backend(backend) == "batched" and caches is None
-            and simulator.fast and type(simulator) is GpuSimulator
-            and simulator.interleave_chunk == INTERLEAVE_CHUNK
-            and simulator.reserved_exposure == RESERVED_EXPOSURE):
-        from repro.gpu.batched import run_batch
-        item = BatchItem(
-            plan=plan, seed=seed, warmups=warmups,
-            record_per_cta=record_per_cta, scheduler=simulator.scheduler,
-            hiding_cap=simulator.hiding_cap,
-            l1_enabled=simulator.l1_enabled,
-            join_stagger=simulator.join_stagger, tracer=tracer)
-        return run_batch(simulator.config, kernel, [item])[0]
     if caches is None:
         caches = simulator.fresh_caches()
     for i in range(warmups):

@@ -87,43 +87,8 @@ def _execute_batch(batch: "list[SimJob]") -> list:
     not poison its batchmates — along with worker-clock spans in the
     same ``(start, duration, pid)`` shape the sweep runner's profiling
     uses, so the service's ``--profile`` timeline renders identically.
-
-    Under ``REPRO_BACKEND=batched`` the micro-batch is first grouped by
-    :func:`~repro.engine.executors.batch_key`; each group of two or
-    more compatible jobs runs as one struct-of-arrays call
-    (bit-identical to the per-job loop), and any group the batched
-    path rejects falls back to per-job execution so the error
-    isolation above is preserved.
     """
-    from repro.gpu.backend import default_backend
-    if default_backend() != "batched" or len(batch) < 2:
-        return [_execute_one(job) for job in batch]
-
-    from repro.engine.executors import batch_key, execute_batch
-    groups: "dict[tuple, list[int]]" = {}
-    out: "list[tuple | None]" = [None] * len(batch)
-    for i, job in enumerate(batch):
-        key = batch_key(job)
-        if key is None:
-            out[i] = _execute_one(job)
-        else:
-            groups.setdefault(key, []).append(i)
-    pid = os.getpid()
-    for indexes in groups.values():
-        jobs = [batch[i] for i in indexes]
-        if len(jobs) == 1:
-            out[indexes[0]] = _execute_one(jobs[0])
-            continue
-        timings: "list[tuple[float, float]]" = []
-        try:
-            values = execute_batch(jobs, timings=timings)
-        except Exception:
-            for i in indexes:
-                out[i] = _execute_one(batch[i])
-            continue
-        for i, value, (start, duration) in zip(indexes, values, timings):
-            out[i] = ("ok", value, start, duration, pid)
-    return out
+    return [_execute_one(job) for job in batch]
 
 
 class JobFailed(Exception):

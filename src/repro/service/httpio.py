@@ -2,8 +2,8 @@
 
 The service speaks plain HTTP/1.1 with JSON bodies and keep-alive —
 enough for ``curl``, ``http.client`` and any load balancer's health
-checks — without pulling a web framework into a repository whose only
-runtime dependency is numpy.  Limits are enforced while *reading*
+checks — without pulling a web framework into a repository with no
+runtime dependencies at all.  Limits are enforced while *reading*
 (oversized headers or bodies are rejected before they are buffered),
 and every error surfaces as an :class:`HttpError` carrying the status
 code and a machine-readable error code, which the server renders into

@@ -108,9 +108,6 @@ class Evaluator:
         if fresh:
             jobs = [self._job(point, rung) for point in fresh]
             self.spent += rung.budget_cost * len(fresh)
-            stats = getattr(self.runner, "stats", None)
-            batches_before = getattr(stats, "batches", 0)
-            grouped_before = getattr(stats, "batched_jobs", 0)
             results = self.runner.run(jobs)
             for point, metrics in zip(fresh, results):
                 self.seen[(point, rung.name)] = Candidate(
@@ -122,17 +119,10 @@ class Evaluator:
                     dram_transactions=int(metrics.dram_transactions),
                     fidelity=rung.name,
                     source=source)
-            batched = ""
-            if stats is not None and getattr(stats, "batches", 0):
-                batches = stats.batches - batches_before
-                grouped = stats.batched_jobs - grouped_before
-                if batches:
-                    batched = (f", {grouped} job(s) in {batches} "
-                               f"backend batch(es)")
             charge = "free" if not rung.budget_cost \
                 else f"{self.spent}/{self.budget} budget"
             self.note(f"evaluated {len(fresh)} candidate(s) at the "
-                      f"{rung.name} rung ({charge}{batched})")
+                      f"{rung.name} rung ({charge})")
         return [self.seen[(point, rung.name)] for point in wanted
                 if (point, rung.name) in self.seen]
 

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.engine import ResultCache, execute, reuse_job, simulate_job
+from repro.engine import executors as ex
 from repro.engine.cache import SAFE_ENTRY_GLOBALS, safe_loads_entry
 
 
@@ -179,3 +180,49 @@ class TestImportSafety:
         for module, name in sorted(SAFE_ENTRY_GLOBALS):
             assert isinstance(
                 getattr(importlib.import_module(module), name), type)
+
+
+#: One cheap job per executor kind.  Keyed by kind so a new kind
+#: without a case fails ``test_every_kind_has_a_case`` below instead
+#: of silently escaping the transfer check.
+KIND_CASES = {
+    "schemes": lambda: ex.schemes_job("NN", "Tesla K40", scale=0.05,
+                                      schemes=("BSL", "CLU")),
+    "measure": lambda: ex.measure_job("NN", "Tesla K40", scale=0.05),
+    "microbench": lambda: ex.microbench_job("Tesla K40"),
+    "reuse": lambda: ex.reuse_job("NN", scale=0.05),
+    "table2": lambda: ex.table2_job("NN"),
+    "framework": lambda: ex.framework_job("NN", "Tesla K40", scale=0.05),
+    "simulate": lambda: ex.simulate_job("NN", "GTX980", scale=0.05),
+    "tune": lambda: ex.tune_job("NN", "Tesla K40", budget=2, scale=0.05),
+    "estimate": lambda: ex.estimate_job("NN", "GTX980", scheme="CLU",
+                                        scale=0.05),
+    "bound": lambda: ex.bound_job("NN", "GTX980", scale=0.05),
+    "cotenant": lambda: ex.cotenant_job(
+        [{"workload": "NN", "scale": 0.05}, {"workload": "HS", "scale": 0.05}],
+        "GTX980", warmups=0),
+    "cluster": lambda: ex.cluster_job("NN", "GTX980"),
+}
+
+
+class TestEveryKindTransfers:
+    """Shard warmup and hot-key replication move entries with
+    ``export_entry``/``import_entry``; a result type missing from the
+    unpickle allowlist makes ``import_entry`` refuse that whole kind."""
+
+    def test_every_kind_has_a_case(self):
+        assert sorted(KIND_CASES) == sorted(ex.EXECUTORS)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CASES))
+    def test_entry_roundtrips(self, tmp_path, kind):
+        job = KIND_CASES[kind]()
+        assert job.kind == kind
+        value = execute(job)
+        source = ResultCache(tmp_path / "a")
+        target = ResultCache(tmp_path / "b")
+        source.put(job, value)
+        data = source.export_entry(job.key)
+        assert target.import_entry(job.key, data), kind
+        assert target.path_for_key(job.key).read_bytes() == data
+        assert pickle.dumps(target.get(job)) == \
+            pickle.dumps(source.get(job))

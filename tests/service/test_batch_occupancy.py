@@ -1,17 +1,16 @@
-"""Batch occupancy: the worker-side grouping and the ``/metrics`` view.
+"""Batch occupancy: the worker-side batch loop and the ``/metrics`` view.
 
 The micro-batcher already counts batches and jobs; this file pins the
-two additions that ride the batched backend — the occupancy section of
-the metrics snapshot (``capacity``/``fill_ratio`` against the
-configured ``batch_max``) and the worker function's grouping of a
-micro-batch by :func:`~repro.engine.executors.batch_key`, including
-its per-job error isolation.
+occupancy section of the metrics snapshot (``capacity``/``fill_ratio``
+against the configured ``batch_max``) and the worker function that
+runs one micro-batch: outcomes in submission order, with per-job
+error isolation.
 """
 
 from __future__ import annotations
 
+from repro.engine.executors import execute
 from repro.engine.job import SimJob
-from repro.gpu.backend import BACKEND_ENV
 from repro.gpu.metrics import metrics_fingerprint
 from repro.service.core import _execute_batch
 from repro.service.metrics import ServiceMetrics
@@ -54,34 +53,20 @@ class TestMetricsSnapshot:
 
 
 class TestWorkerGrouping:
-    def test_grouped_outcomes_match_per_job(self, monkeypatch):
-        batch = [simulate_job("NN", "BSL"), simulate_job("NN", "RD"),
-                 simulate_job("ATX", "BSL")]
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        serial = _execute_batch(batch)
-        monkeypatch.setenv(BACKEND_ENV, "batched")
-        grouped = _execute_batch(batch)
-        assert [o[0] for o in grouped] == ["ok"] * 3
-        for ref, got in zip(serial, grouped):
-            assert ref[0] == got[0] == "ok"
-            assert metrics_fingerprint(ref[1]) == metrics_fingerprint(got[1])
-
-    def test_outcomes_keep_submission_order(self, monkeypatch):
-        # Interleave two groups so index bookkeeping is exercised.
+    def test_outcomes_keep_submission_order(self):
+        # Interleave two kernels so index bookkeeping is exercised.
         batch = [simulate_job("NN", "BSL"), simulate_job("ATX", "BSL"),
                  simulate_job("NN", "RD"), simulate_job("ATX", "RD")]
-        monkeypatch.setenv(BACKEND_ENV, "batched")
         outcomes = _execute_batch(batch)
-        monkeypatch.delenv(BACKEND_ENV)
-        reference = _execute_batch(batch)
-        for ref, got in zip(reference, outcomes):
-            assert metrics_fingerprint(ref[1]) == metrics_fingerprint(got[1])
+        assert [o[0] for o in outcomes] == ["ok"] * 4
+        for job, got in zip(batch, outcomes):
+            assert metrics_fingerprint(execute(job)) == \
+                metrics_fingerprint(got[1])
 
-    def test_error_isolation_survives_grouping(self, monkeypatch):
+    def test_error_isolation_survives_grouping(self):
         bad = SimJob.make("simulate", workload="NO-SUCH-APP",
                           gpu="Tesla K40", scheme="BSL", scale=0.3,
                           seed=0, warmups=1)
         batch = [simulate_job("NN", "BSL"), bad, simulate_job("NN", "RD")]
-        monkeypatch.setenv(BACKEND_ENV, "batched")
         outcomes = _execute_batch(batch)
         assert [o[0] for o in outcomes] == ["ok", "error", "ok"]

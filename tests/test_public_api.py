@@ -11,13 +11,31 @@ class TestPublicSurface:
             assert getattr(repro, name) is not None, name
 
     def test_version(self):
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "1.7.0"
 
     def test_version_line_names_both_versions(self):
         from repro.engine.job import ENGINE_VERSION
         line = repro.version_line()
         assert repro.__version__ in line
         assert ENGINE_VERSION in line
+
+    def test_pyproject_takes_the_version_from_the_package(self):
+        # One source of truth: the packaging metadata reads
+        # repro.__version__ instead of keeping its own copy, and
+        # declares no runtime dependencies (nothing imports one).
+        tomllib = pytest.importorskip("tomllib")
+        from pathlib import Path
+        path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(path.read_text())
+        assert "version" not in project["project"]
+        assert project["project"]["dynamic"] == ["version"]
+        assert project["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"}
+        assert project["project"]["dependencies"] == []
+
+    def test_simulate_no_longer_takes_backend(self):
+        with pytest.raises(TypeError):
+            repro.simulate("NN", repro.GTX980, scale=0.05, backend="serial")
 
     def test_service_client_reexported(self):
         from repro.api import ServiceClient, ServiceError, connect
