@@ -1,8 +1,9 @@
 """repro.service — the request/response serving layer.
 
 A dependency-free asyncio HTTP/JSON daemon exposing the stable
-:mod:`repro.api` surface (``simulate``/``cluster``/``sweep``) plus
-``/healthz``, ``/readyz`` and ``/metrics``, layered on the machinery
+:mod:`repro.api` surface (every kind in
+:data:`repro.service.jobs.SERVED`, plus ``sweep``) and ``/healthz``,
+``/readyz`` and ``/metrics``, layered on the machinery
 the batch CLIs already use: requests canonicalize to engine
 :class:`~repro.engine.job.SimJob` content hashes (single-flight dedup
 + persistent :class:`~repro.engine.cache.ResultCache`), misses are

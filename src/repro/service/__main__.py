@@ -42,14 +42,15 @@ import threading
 import repro
 from repro.service.config import DEFAULT_PORT, RouterConfig, ServiceConfig
 from repro.service.core import SimulationService
+from repro.service.jobs import SERVED
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
-        description="Serve repro.api (simulate/cluster/sweep) over "
-                    "HTTP/JSON with single-flight dedup, result caching, "
-                    "micro-batching and backpressure.")
+        description=f"Serve repro.api ({'/'.join([*SERVED, 'sweep'])}) "
+                    f"over HTTP/JSON with single-flight dedup, result "
+                    f"caching, micro-batching and backpressure.")
     parser.add_argument("--version", action="version",
                         version=repro.version_line())
     parser.add_argument("--host", default="127.0.0.1",

@@ -113,6 +113,15 @@ class ServiceClient:
     # endpoints
     # ------------------------------------------------------------------
 
+    def _post(self, kind: str, full: bool, field: str = "result",
+              **fields) -> dict:
+        """``POST /v1/<kind>`` with the set (non-``None``) fields; the
+        envelope's ``field``, or the whole envelope when ``full``."""
+        envelope = self._call("POST", f"/v1/{kind}", {
+            name: value for name, value in fields.items()
+            if value is not None})
+        return envelope if full else envelope[field]
+
     def simulate(self, workload: str, gpu: str, *, scheme: str = None,
                  scale: float = 1.0, seed: int = 0, warmups: int = 1,
                  topology: str = None, placement: str = None,
@@ -124,18 +133,10 @@ class ServiceClient:
         returns the whole envelope (``key``/``source``/``result``)
         instead.
         """
-        payload = {"workload": workload, "gpu": gpu, "scale": scale,
-                   "seed": seed, "warmups": warmups}
-        if scheme is not None:
-            payload["scheme"] = scheme
-        if topology is not None:
-            payload["topology"] = topology
-        if placement is not None:
-            payload["placement"] = placement
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
-        envelope = self._call("POST", "/v1/simulate", payload)
-        return envelope if full else envelope["result"]
+        return self._post("simulate", full, workload=workload, gpu=gpu,
+                          scheme=scheme, scale=scale, seed=seed,
+                          warmups=warmups, topology=topology,
+                          placement=placement, deadline_s=deadline_s)
 
     def estimate(self, workload: str, gpu: str, *, scheme: str = None,
                  scale: float = 1.0, seed: int = 0, warmups: int = 1,
@@ -147,18 +148,10 @@ class ServiceClient:
         :class:`~repro.gpu.analytic.AnalyticEstimate` as JSON;
         ``full=True`` returns the whole envelope instead.
         """
-        payload = {"workload": workload, "gpu": gpu, "scale": scale,
-                   "seed": seed, "warmups": warmups}
-        if scheme is not None:
-            payload["scheme"] = scheme
-        if topology is not None:
-            payload["topology"] = topology
-        if placement is not None:
-            payload["placement"] = placement
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
-        envelope = self._call("POST", "/v1/estimate", payload)
-        return envelope if full else envelope["result"]
+        return self._post("estimate", full, workload=workload, gpu=gpu,
+                          scheme=scheme, scale=scale, seed=seed,
+                          warmups=warmups, topology=topology,
+                          placement=placement, deadline_s=deadline_s)
 
     def bound(self, workload: str, gpu: str, *, scale: float = 1.0,
               l2_divisor: int = 1, topology: str = None,
@@ -168,13 +161,9 @@ class ServiceClient:
         the :class:`~repro.analysis.bound.BoundReport` as JSON;
         ``full=True`` returns the whole envelope instead.
         """
-        payload = {"workload": workload, "gpu": gpu, "scale": scale}
-        if l2_divisor != 1:
-            payload["l2_divisor"] = l2_divisor
-        if topology is not None:
-            payload["topology"] = topology
-        envelope = self._call("POST", "/v1/bound", payload)
-        return envelope if full else envelope["result"]
+        return self._post("bound", full, workload=workload, gpu=gpu,
+                          scale=scale, l2_divisor=l2_divisor,
+                          topology=topology)
 
     def cotenant(self, tenants: "list", gpu: str, *, policy: str = "shared",
                  seed: int = 0, warmups: int = 1,
@@ -185,32 +174,20 @@ class ServiceClient:
         Returns the :class:`~repro.tenancy.TenancyReport` as JSON;
         ``full=True`` returns the whole envelope instead.
         """
-        payload = {"tenants": list(tenants), "gpu": gpu, "policy": policy,
-                   "seed": seed, "warmups": warmups}
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
-        envelope = self._call("POST", "/v1/cotenant", payload)
-        return envelope if full else envelope["result"]
+        return self._post("cotenant", full, tenants=list(tenants), gpu=gpu,
+                          policy=policy, seed=seed, warmups=warmups,
+                          deadline_s=deadline_s)
 
     def cluster(self, workload: str, gpu: str, *, scheme: str = "CLU",
                 direction: str = None, active_agents: int = None,
                 seed: int = 0, topology: str = None, placement: str = None,
                 deadline_s: float = None, full: bool = False) -> dict:
         """Plan digest for one scheme (see ``ExecutionPlan.describe``)."""
-        payload = {"workload": workload, "gpu": gpu, "scheme": scheme,
-                   "seed": seed}
-        if direction is not None:
-            payload["direction"] = direction
-        if active_agents is not None:
-            payload["active_agents"] = active_agents
-        if topology is not None:
-            payload["topology"] = topology
-        if placement is not None:
-            payload["placement"] = placement
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
-        envelope = self._call("POST", "/v1/cluster", payload)
-        return envelope if full else envelope["plan"]
+        return self._post("cluster", full, "plan", workload=workload,
+                          gpu=gpu, scheme=scheme, direction=direction,
+                          active_agents=active_agents, seed=seed,
+                          topology=topology, placement=placement,
+                          deadline_s=deadline_s)
 
     def tune(self, workload: str, gpu: str, *, objective: str = None,
              strategy: str = None, budget: int = None, scale: float = 1.0,
@@ -221,27 +198,16 @@ class ServiceClient:
         rule-based baseline, ranked leaderboard).  Identical to an
         in-process ``repro.api.tune`` with the same arguments, minus
         the live ``best_plan``."""
-        payload = {"workload": workload, "gpu": gpu, "scale": scale,
-                   "seed": seed}
-        if objective is not None:
-            payload["objective"] = objective
-        if strategy is not None:
-            payload["strategy"] = strategy
-        if budget is not None:
-            payload["budget"] = budget
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
-        envelope = self._call("POST", "/v1/tune", payload)
-        return envelope if full else envelope["result"]
+        return self._post("tune", full, workload=workload, gpu=gpu,
+                          objective=objective, strategy=strategy,
+                          budget=budget, scale=scale, seed=seed,
+                          deadline_s=deadline_s)
 
     def sweep(self, jobs: "list[dict]", *, deadline_s: float = None,
               full: bool = False) -> list:
         """A batch of job descriptors; results in submission order."""
-        payload: dict = {"jobs": list(jobs)}
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
-        envelope = self._call("POST", "/v1/sweep", payload)
-        return envelope if full else envelope["results"]
+        return self._post("sweep", full, "results", jobs=list(jobs),
+                          deadline_s=deadline_s)
 
     def healthz(self) -> bool:
         status, _ = self._request("GET", "/healthz")

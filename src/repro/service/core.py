@@ -38,6 +38,7 @@ The request pipeline, in order::
 from __future__ import annotations
 
 import asyncio
+import functools
 import hmac
 import os
 import sys
@@ -336,155 +337,64 @@ class SimulationService:
             result_cache=self.cache,
             batch_max=self.config.batch_max)
 
-    async def _post_simulate(self, request: HttpRequest) -> dict:
-        payload = request.json()
-        job = jobmod.build_simulate_job(payload)
-        deadline = self._deadline_from(payload)
-        value, source = await self.submit(job, deadline)
-        return {"key": job.key, "source": source,
-                "result": jobmod.jsonable(value)}
+    async def _post_pooled(self, request: HttpRequest,
+                           kind: jobmod.ServedKind) -> dict:
+        """One job of a pooled kind, through the whole pipeline.
 
-    async def _post_estimate(self, request: HttpRequest) -> dict:
-        """Rung-0 fast path: the closed-form analytic model, inline.
-
-        Same request/response envelope as ``/v1/simulate`` (same
-        validation, same ``{key, source, result}`` shape, same error
-        payloads), but the work never touches the admission queue, the
-        micro-batcher or the process pool — the model is cheap enough
-        to run on a loop-adjacent thread, so this endpoint answers
-        even while the pool is saturated with simulations.  Visible in
-        ``/metrics`` under ``estimates`` (the ``batches`` counter does
-        not move).
+        Identical requests collapse in the single-flight table and
+        finished results persist in the cache; a ``tune`` search is
+        one such job, and inside the worker every candidate evaluation
+        also hits the engine's shared cache.
         """
         payload = request.json()
-        job = jobmod.build_estimate_job(payload)
+        job = kind.job(payload, max_tune_budget=self.config.max_tune_budget)
+        value, source = await self.submit(job, self._deadline_from(payload))
+        return kind.envelope(job, value, source)
+
+    async def _post_inline(self, request: HttpRequest,
+                           kind: jobmod.ServedKind) -> dict:
+        """One job of an inline kind (the analytic estimate, the oracle
+        bound): cheap enough to run on a loop-adjacent thread.
+
+        Same ``{key, source, result}`` envelope, validation, cache and
+        error payloads as a pooled kind, but the work never touches
+        the admission queue, the micro-batcher or the process pool, so
+        these endpoints answer even while the pool is saturated.
+        Visible in ``/metrics`` under the kind's own section (the
+        ``batches`` counter does not move).
+        """
+        payload = request.json()
+        job = kind.job(payload, max_tune_budget=self.config.max_tune_budget)
         self._deadline_from(payload)  # validate the field for parity
-        if self._draining:
-            raise HttpError(503, "draining",
-                            "service is draining and not admitting work")
+        self._refuse_while_draining()
+        counter = self.metrics.inline[kind.inline]
         started = time.perf_counter()
         value, hit = None, False
         if self.cache is not None:
             with self.metrics.timer.phase("cache_lookup"):
-                cached = self.cache.get(job)
-            if not ResultCache.is_miss(cached):
-                value, hit = cached, True
+                value = self.cache.get(job)
+            hit = not ResultCache.is_miss(value)
         if not hit:
             try:
                 value = await asyncio.to_thread(execute, job)
             except Exception as exc:
                 self.metrics.job_errors += 1
-                self.metrics.observe_estimate(
-                    time.perf_counter() - started, cached=False)
+                counter.observe(time.perf_counter() - started, cached=False)
                 raise HttpError(
                     500, "job_failed",
                     f"job {job.label()} failed: "
                     f"{type(exc).__name__}: {exc}",
                     detail={"job": job.label()}) from None
             self.metrics.executed += 1
-            if self.cache is not None:
-                with self.metrics.timer.phase("cache_store"):
-                    try:
-                        self.cache.put(job, value)
-                    except OSError:
-                        pass  # a full disk must not fail the response
-        self.metrics.observe_estimate(time.perf_counter() - started,
-                                      cached=hit)
-        return {"key": job.key, "source": "cache" if hit else "executed",
-                "result": jobmod.jsonable(value)}
-
-    async def _post_bound(self, request: HttpRequest) -> dict:
-        """Oracle fast path: the reuse-graph hit ceiling, inline.
-
-        Mirrors ``/v1/estimate``'s pool-free discipline — same
-        ``{key, source, result}`` envelope, same cache, but the work
-        runs on a loop-adjacent thread and never touches the admission
-        queue, the micro-batcher or the process pool.  The bound is a
-        single linear pass over the compiled access streams, so the
-        endpoint keeps answering while the pool is saturated with
-        simulations.  Visible in ``/metrics`` under ``bounds``.
-        """
-        payload = request.json()
-        job = jobmod.build_bound_job(payload)
-        self._deadline_from(payload)  # validate the field for parity
-        if self._draining:
-            raise HttpError(503, "draining",
-                            "service is draining and not admitting work")
-        started = time.perf_counter()
-        value, hit = None, False
-        if self.cache is not None:
-            with self.metrics.timer.phase("cache_lookup"):
-                cached = self.cache.get(job)
-            if not ResultCache.is_miss(cached):
-                value, hit = cached, True
-        if not hit:
-            try:
-                value = await asyncio.to_thread(execute, job)
-            except Exception as exc:
-                self.metrics.job_errors += 1
-                self.metrics.observe_bound(
-                    time.perf_counter() - started, cached=False)
-                raise HttpError(
-                    500, "job_failed",
-                    f"job {job.label()} failed: "
-                    f"{type(exc).__name__}: {exc}",
-                    detail={"job": job.label()}) from None
-            self.metrics.executed += 1
-            if self.cache is not None:
-                with self.metrics.timer.phase("cache_store"):
-                    try:
-                        self.cache.put(job, value)
-                    except OSError:
-                        pass  # a full disk must not fail the response
-        self.metrics.observe_bound(time.perf_counter() - started,
-                                   cached=hit)
-        return {"key": job.key, "source": "cache" if hit else "executed",
-                "result": jobmod.jsonable(value)}
-
-    async def _post_cotenant(self, request: HttpRequest) -> dict:
-        """One multi-tenant mix measurement; rides the full pipeline.
-
-        A co-tenant run costs several solo simulations plus the
-        co-dispatch itself, so unlike ``/v1/bound`` it goes through
-        single-flight dedup, the cache, admission and the pool exactly
-        like ``/v1/simulate``.
-        """
-        payload = request.json()
-        job = jobmod.build_cotenant_job(payload)
-        deadline = self._deadline_from(payload)
-        value, source = await self.submit(job, deadline)
-        return {"key": job.key, "source": source,
-                "result": jobmod.jsonable(value)}
-
-    async def _post_cluster(self, request: HttpRequest) -> dict:
-        payload = request.json()
-        job = jobmod.build_cluster_job(payload)
-        deadline = self._deadline_from(payload)
-        plan, source = await self.submit(job, deadline)
-        return {"key": job.key, "source": source, "plan": plan}
-
-    async def _post_tune(self, request: HttpRequest) -> dict:
-        """One tuning search; rides the same pipeline as ``simulate``.
-
-        The whole search is one ``tune`` job: identical requests
-        collapse in the single-flight table, finished leaderboards
-        persist in the result cache, and inside the worker every
-        candidate evaluation hits the engine's shared cache — so a
-        tune re-requested with a bigger budget re-simulates only the
-        configurations it has not seen.
-        """
-        payload = request.json()
-        job = jobmod.build_tune_job(
-            payload, max_budget=self.config.max_tune_budget)
-        deadline = self._deadline_from(payload)
-        value, source = await self.submit(job, deadline)
-        return {"key": job.key, "source": source,
-                "result": jobmod.jsonable(value)}
+            self._store(job, value)
+        counter.observe(time.perf_counter() - started, cached=hit)
+        return kind.envelope(job, value, "cache" if hit else "executed")
 
     async def _post_sweep(self, request: HttpRequest) -> dict:
         payload = request.json()
         batch = jobmod.build_sweep_jobs(
-            payload, max_jobs=self.config.max_sweep_jobs)
+            payload, max_jobs=self.config.max_sweep_jobs,
+            max_tune_budget=self.config.max_tune_budget)
         deadline = self._deadline_from(payload)
         # Admission-check the whole batch up front so a sweep is all
         # or nothing — no half-admitted batches under pressure.  Jobs
@@ -611,11 +521,11 @@ class SimulationService:
         if value is None:
             return self.config.deadline_s
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or value <= 0:
+                or not value > 0:
             raise HttpError(400, "bad_request",
                             f"invalid 'deadline_s': expected a positive "
                             f"number, got {value!r}")
-        return min(float(value), self.config.deadline_s)
+        return float(min(value, self.config.deadline_s))
 
     # ------------------------------------------------------------------
     # the job pipeline: dedup -> cache -> admit -> batch -> pool
@@ -628,11 +538,14 @@ class SimulationService:
             f"{self.config.queue_depth} jobs outstanding); retry shortly",
             retry_after_s=1.0)
 
-    async def submit(self, job: SimJob, deadline_s: float):
-        """Resolve one job through the pipeline; returns (value, source)."""
+    def _refuse_while_draining(self) -> None:
         if self._draining:
             raise HttpError(503, "draining",
                             "service is draining and not admitting work")
+
+    async def submit(self, job: SimJob, deadline_s: float):
+        """Resolve one job through the pipeline; returns (value, source)."""
+        self._refuse_while_draining()
         self.metrics.jobs_submitted += 1
         key = job.key
 
@@ -770,14 +683,17 @@ class SimulationService:
                 self.metrics.job_errors += 1
                 self._fail_flight(flight, value)
 
-    def _finish_flight(self, flight: _Flight, value) -> None:
-        self.metrics.executed += 1
+    def _store(self, job: SimJob, value) -> None:
         if self.cache is not None:
             with self.metrics.timer.phase("cache_store"):
                 try:
-                    self.cache.put(flight.job, value)
+                    self.cache.put(job, value)
                 except OSError:
                     pass  # a full disk must not fail the response
+
+    def _finish_flight(self, flight: _Flight, value) -> None:
+        self.metrics.executed += 1
+        self._store(flight.job, value)
         if self.profile is not None:
             self.profile.observe_results(value)
         self._forget(flight)
@@ -799,13 +715,11 @@ _ROUTES = {
     ("GET", "/healthz"): SimulationService._get_healthz,
     ("GET", "/readyz"): SimulationService._get_readyz,
     ("GET", "/metrics"): SimulationService._get_metrics,
-    ("POST", "/v1/simulate"): SimulationService._post_simulate,
-    ("POST", "/v1/estimate"): SimulationService._post_estimate,
-    ("POST", "/v1/bound"): SimulationService._post_bound,
-    ("POST", "/v1/cotenant"): SimulationService._post_cotenant,
-    ("POST", "/v1/cluster"): SimulationService._post_cluster,
+    **{("POST", kind.path): functools.partial(
+        SimulationService._post_inline if kind.inline
+        else SimulationService._post_pooled, kind=kind)
+       for kind in jobmod.SERVED.values()},
     ("POST", "/v1/sweep"): SimulationService._post_sweep,
-    ("POST", "/v1/tune"): SimulationService._post_tune,
     ("GET", "/v1/cache/manifest"): SimulationService._get_cache_manifest,
     ("GET", "/v1/cache/entry"): SimulationService._get_cache_entry,
     ("POST", "/v1/cache/push"): SimulationService._post_cache_push,

@@ -80,15 +80,20 @@ class HttpRequest:
     def keep_alive(self) -> bool:
         return self.headers.get("connection", "keep-alive").lower() != "close"
 
-    def json(self):
-        """Parse the body as JSON; empty bodies parse as ``{}``."""
+    def json(self) -> dict:
+        """Parse the body as a JSON object; empty bodies parse as ``{}``."""
         if not self.body:
             return {}
         try:
-            return json.loads(self.body.decode("utf-8"))
+            document = json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HttpError(400, "bad_json",
                             f"request body is not valid JSON: {exc}") from None
+        if not isinstance(document, dict):
+            raise HttpError(400, "bad_request",
+                            f"request body must be a JSON object, got "
+                            f"{type(document).__name__}")
+        return document
 
 
 async def read_request(reader: asyncio.StreamReader, *,

@@ -9,6 +9,11 @@ single-flight table and the persistent cache key on, so two requests
 that mean the same computation collapse no matter how their JSON was
 spelled (key order, int-vs-float scale, defaulted fields).
 
+:data:`SERVED` declares every served job kind once.  The daemon's
+``POST /v1/<kind>`` routes, the router's forwarding table, sweep
+entries and the inline ``/metrics`` sections all derive from it, so a
+new kind is one row plus its builder.
+
 The reverse direction lives here too: :func:`jsonable` renders any
 executor result into plain JSON, with ``KernelMetrics`` going through
 :func:`~repro.gpu.metrics.canonical_metrics` so a served ``simulate``
@@ -19,6 +24,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
+import math
+from typing import Callable
 
 from repro.engine.executors import (
     EXECUTORS,
@@ -32,11 +40,29 @@ from repro.engine.executors import (
 from repro.engine.job import SimJob
 from repro.gpu.metrics import KernelMetrics, canonical_metrics
 from repro.service.httpio import HttpError
+from repro.workloads.base import MAX_SCALE
 
 
 def _bad(field: str, message: str) -> HttpError:
     return HttpError(400, "bad_request",
                      f"invalid {field!r}: {message}")
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise _bad(field, f"expected a JSON object, got "
+                          f"{type(value).__name__}")
+    return value
+
+
+def _indexed(field: str, index: int, build, entry):
+    """``build(entry)``, with a 4xx naming ``field[index]``."""
+    try:
+        return build(entry)
+    except HttpError as exc:
+        raise HttpError(exc.status, exc.code,
+                        f"{field}[{index}]: {exc.message}",
+                        detail=exc.detail) from None
 
 
 def _string(payload: dict, field: str, *, required: bool = False,
@@ -51,102 +77,91 @@ def _string(payload: dict, field: str, *, required: bool = False,
     return value
 
 
+def _member(payload: dict, field: str, known, *, noun: str = None,
+            required: bool = False, default: str = None) -> "str | None":
+    """A string field that must name one of ``known``."""
+    name = _string(payload, field, required=required, default=default)
+    if name is not None and name not in known:
+        raise _bad(field, f"unknown {noun or field} {name!r}; "
+                          f"known: {sorted(known)}")
+    return name
+
+
 def _number(payload: dict, field: str, default, *, cast=float,
             minimum=None, maximum=None):
-    value = payload.get(field, default)
+    """A finite number within bounds; JSON ``null`` means ``default``."""
+    value = payload.get(field)
     if value is None:
-        return None
+        return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _bad(field, f"expected a number, got {type(value).__name__}")
-    value = cast(value)
-    if minimum is not None and value < minimum:
-        raise _bad(field, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise _bad(field, f"must be <= {maximum}, got {value}")
-    return value
+    try:
+        number = cast(value)
+        if not math.isfinite(number):
+            raise ValueError
+    except (OverflowError, ValueError):
+        raise _bad(field, f"expected a finite number, got {value!r}") \
+            from None
+    if minimum is not None and number < minimum:
+        raise _bad(field, f"must be >= {minimum}, got {number}")
+    if maximum is not None and number > maximum:
+        raise _bad(field, f"must be <= {maximum}, got {number}")
+    return number
 
 
-def _check_workload(abbr: str) -> str:
+def _scale(payload: dict) -> float:
+    """``scale`` within the workload model's ``(0, MAX_SCALE]``."""
+    return _number(payload, "scale", 1.0, minimum=1e-6, maximum=MAX_SCALE)
+
+
+def _seed(payload: dict) -> int:
+    return _number(payload, "seed", 0, cast=int, minimum=0)
+
+
+def _warmups(payload: dict) -> int:
+    return _number(payload, "warmups", 1, cast=int, minimum=0, maximum=8)
+
+
+def _workload(payload: dict, *, required: bool = True) -> "str | None":
     from repro.workloads.registry import REGISTRY
-    if abbr not in REGISTRY:
-        raise _bad("workload", f"unknown workload {abbr!r}; "
-                               f"known: {sorted(REGISTRY)}")
-    return abbr
+    return _member(payload, "workload", REGISTRY, required=required)
 
 
-def _check_gpu(name: str) -> str:
+def _gpu(payload: dict, *, required: bool = True) -> "str | None":
     from repro.gpu.config import PLATFORMS
-    if name not in PLATFORMS:
-        raise _bad("gpu", f"unknown platform {name!r}; "
-                          f"known: {sorted(PLATFORMS)}")
-    return name
+    return _member(payload, "gpu", PLATFORMS, noun="platform",
+                   required=required)
 
 
-def _check_scheme(name: "str | None", *, required: bool) -> "str | None":
+def _layout(payload: dict) -> dict:
+    """The chiplet ``topology``/``placement`` pair."""
+    from repro.gpu.topology import PLACEMENTS, TOPOLOGIES
+    return {"topology": _member(payload, "topology", TOPOLOGIES),
+            "placement": _member(payload, "placement", PLACEMENTS)}
+
+
+def _run_fields(payload: dict) -> dict:
+    """The request shape ``/v1/simulate`` and ``/v1/estimate`` share."""
     from repro.api import SCHEMES
-    if name is None:
-        if required:
-            raise _bad("scheme", "field is required")
-        return None
-    if name not in SCHEMES:
-        raise _bad("scheme", f"unknown scheme {name!r}; known: {SCHEMES}")
-    return name
-
-
-def _check_topology(name: "str | None") -> "str | None":
-    from repro.gpu.topology import TOPOLOGIES
-    if name is None:
-        return None
-    if name not in TOPOLOGIES:
-        raise _bad("topology", f"unknown topology {name!r}; "
-                               f"known: {sorted(TOPOLOGIES)}")
-    return name
-
-
-def _check_placement(name: "str | None") -> "str | None":
-    from repro.gpu.topology import PLACEMENTS
-    if name is None:
-        return None
-    if name not in PLACEMENTS:
-        raise _bad("placement", f"unknown placement {name!r}; "
-                                f"known: {sorted(PLACEMENTS)}")
-    return name
+    return {"workload": _workload(payload), "gpu": _gpu(payload),
+            "scheme": _member(payload, "scheme", SCHEMES),
+            "scale": _scale(payload), "seed": _seed(payload),
+            "warmups": _warmups(payload), **_layout(payload)}
 
 
 def build_simulate_job(payload: dict) -> SimJob:
     """``POST /v1/simulate`` body -> a canonical ``simulate`` job."""
-    workload = _check_workload(_string(payload, "workload", required=True))
-    gpu = _check_gpu(_string(payload, "gpu", required=True))
-    scheme = _check_scheme(_string(payload, "scheme"), required=False)
-    scale = _number(payload, "scale", 1.0, minimum=1e-6, maximum=16.0)
-    seed = _number(payload, "seed", 0, cast=int, minimum=0)
-    warmups = _number(payload, "warmups", 1, cast=int, minimum=0, maximum=8)
-    topology = _check_topology(_string(payload, "topology"))
-    placement = _check_placement(_string(payload, "placement"))
-    return simulate_job(workload, gpu, scheme=scheme, scale=scale,
-                        seed=seed, warmups=warmups, topology=topology,
-                        placement=placement)
+    return simulate_job(**_run_fields(payload))
 
 
 def build_estimate_job(payload: dict) -> SimJob:
     """``POST /v1/estimate`` body -> a canonical ``estimate`` job.
 
-    Field-for-field the same request shape as ``/v1/simulate`` —
-    workload, gpu, optional scheme, scale, seed, warmups — validated
-    by the same helpers, so the two endpoints reject malformed input
-    with identical error envelopes.
+    Field-for-field the request shape of ``/v1/simulate``, through the
+    same validator, so the two endpoints reject malformed input with
+    identical error envelopes.
     """
-    workload = _check_workload(_string(payload, "workload", required=True))
-    gpu = _check_gpu(_string(payload, "gpu", required=True))
-    scheme = _check_scheme(_string(payload, "scheme"), required=False)
-    scale = _number(payload, "scale", 1.0, minimum=1e-6, maximum=16.0)
-    seed = _number(payload, "seed", 0, cast=int, minimum=0)
-    warmups = _number(payload, "warmups", 1, cast=int, minimum=0, maximum=8)
-    topology = _check_topology(_string(payload, "topology"))
-    placement = _check_placement(_string(payload, "placement"))
-    return estimate_job(workload, gpu, scheme=scheme, scale=scale,
-                        seed=seed, warmups=warmups, topology=topology,
-                        placement=placement)
+    return estimate_job(**_run_fields(payload))
 
 
 def build_bound_job(payload: dict) -> SimJob:
@@ -157,50 +172,48 @@ def build_bound_job(payload: dict) -> SimJob:
     warmup axis to validate — one (workload, gpu, scale, topology)
     quadruple is the whole configuration space.
     """
-    workload = _check_workload(_string(payload, "workload", required=True))
-    gpu = _check_gpu(_string(payload, "gpu", required=True))
-    scale = _number(payload, "scale", 1.0, minimum=1e-6, maximum=16.0)
-    l2_divisor = _number(payload, "l2_divisor", 1, cast=int, minimum=1)
-    topology = _check_topology(_string(payload, "topology"))
-    return bound_job(workload, gpu, scale=scale, l2_divisor=l2_divisor,
-                     topology=topology)
+    from repro.gpu.topology import TOPOLOGIES
+    return bound_job(
+        _workload(payload), _gpu(payload), scale=_scale(payload),
+        l2_divisor=_number(payload, "l2_divisor", 1, cast=int, minimum=1),
+        topology=_member(payload, "topology", TOPOLOGIES))
+
+
+def _tenant(entry) -> dict:
+    from repro.tenancy import TENANT_SCHEMES
+    if isinstance(entry, str):
+        entry = {"workload": entry}
+    if not isinstance(entry, dict):
+        raise _bad("tenant", "expected an object or a workload "
+                             "abbreviation")
+    bypass = entry.get("bypass", False)
+    if not isinstance(bypass, bool):
+        raise _bad("bypass", f"expected a boolean, got "
+                             f"{type(bypass).__name__}")
+    # Unknown fields ride along so the tenant spec rejects them by name.
+    return {**entry, "workload": _workload(entry),
+            "scheme": _member(entry, "scheme", TENANT_SCHEMES,
+                              noun="tenant scheme", required=True,
+                              default="BSL"),
+            "scale": _scale(entry), "seed": _seed(entry),
+            "active_agents": _number(entry, "active_agents", None,
+                                     cast=int, minimum=1),
+            "bypass": bypass}
 
 
 def build_cotenant_job(payload: dict) -> SimJob:
     """``POST /v1/cotenant`` body -> a canonical ``cotenant`` job."""
-    from repro.tenancy import POLICIES, TENANT_SCHEMES
-    gpu = _check_gpu(_string(payload, "gpu", required=True))
-    policy = _string(payload, "policy", default="shared")
-    if policy not in POLICIES:
-        raise _bad("policy", f"unknown policy {policy!r}; "
-                             f"known: {POLICIES}")
-    seed = _number(payload, "seed", 0, cast=int, minimum=0)
-    warmups = _number(payload, "warmups", 1, cast=int, minimum=0, maximum=8)
+    from repro.tenancy import POLICIES
+    gpu = _gpu(payload)
+    policy = _member(payload, "policy", POLICIES, required=True,
+                     default="shared")
+    seed, warmups = _seed(payload), _warmups(payload)
     entries = payload.get("tenants")
     if not isinstance(entries, list) or not entries:
         raise _bad("tenants", "expected a non-empty list of tenant "
                               "descriptors")
-    tenants = []
-    for index, entry in enumerate(entries):
-        field = f"tenants[{index}]"
-        if isinstance(entry, str):
-            entry = {"workload": entry}
-        if not isinstance(entry, dict):
-            raise _bad(field, "expected an object or a workload "
-                              "abbreviation")
-        _check_workload(_string(entry, "workload", required=True))
-        scheme = _string(entry, "scheme", default="BSL")
-        if scheme not in TENANT_SCHEMES:
-            raise _bad(field, f"unknown tenant scheme {scheme!r}; "
-                              f"known: {TENANT_SCHEMES}")
-        _number(entry, "scale", 1.0, minimum=1e-6, maximum=16.0)
-        _number(entry, "seed", 0, cast=int, minimum=0)
-        _number(entry, "active_agents", None, cast=int, minimum=1)
-        bypass = entry.get("bypass", False)
-        if not isinstance(bypass, bool):
-            raise _bad(field, f"'bypass' must be a boolean, "
-                              f"got {type(bypass).__name__}")
-        tenants.append(entry)
+    tenants = [_indexed("tenants", index, _tenant, entry)
+               for index, entry in enumerate(entries)]
     try:
         return cotenant_job(tenants, gpu, policy=policy, seed=seed,
                             warmups=warmups)
@@ -210,115 +223,133 @@ def build_cotenant_job(payload: dict) -> SimJob:
 
 def build_cluster_job(payload: dict) -> SimJob:
     """``POST /v1/cluster`` body -> a canonical ``cluster`` job."""
-    workload = _check_workload(_string(payload, "workload", required=True))
-    gpu = _check_gpu(_string(payload, "gpu", required=True))
-    scheme = _check_scheme(_string(payload, "scheme", default="CLU"),
-                           required=True)
-    direction = _string(payload, "direction")
-    if direction is not None and direction not in ("X-P", "Y-P"):
-        raise _bad("direction", f"expected 'X-P' or 'Y-P', got {direction!r}")
-    active_agents = _number(payload, "active_agents", None, cast=int,
-                            minimum=1)
-    seed = _number(payload, "seed", 0, cast=int, minimum=0)
-    topology = _check_topology(_string(payload, "topology"))
-    placement = _check_placement(_string(payload, "placement"))
-    return cluster_job(workload, gpu, scheme=scheme, direction=direction,
-                       active_agents=active_agents, seed=seed,
-                       topology=topology, placement=placement)
+    from repro.api import SCHEMES
+    return cluster_job(
+        _workload(payload), _gpu(payload),
+        scheme=_member(payload, "scheme", SCHEMES, required=True,
+                       default="CLU"),
+        direction=_member(payload, "direction", ("X-P", "Y-P")),
+        active_agents=_number(payload, "active_agents", None, cast=int,
+                              minimum=1),
+        seed=_seed(payload), **_layout(payload))
 
 
-def build_tune_job(payload: dict, *, max_budget: int) -> SimJob:
+def build_tune_job(payload: dict, *, max_budget: int = None) -> SimJob:
     """``POST /v1/tune`` body -> a canonical ``tune`` job.
 
-    The job content hash covers strategy, objective, budget and seed,
-    so identical tuning requests collapse through the single-flight
-    table and the persistent cache exactly like ``simulate`` requests
-    do — and the candidate evaluations the search performs inside the
+    ``max_budget`` is the serving instance's cap on the search budget;
+    ``None`` (the router) leaves the cap to the owning shard.  The job
+    content hash covers strategy, objective, budget and seed, so
+    identical tuning requests collapse through the single-flight table
+    and the persistent cache exactly like ``simulate`` requests do —
+    and the candidate evaluations the search performs inside the
     worker persist in the engine's shared result cache, so overlapping
     tunes (same workload, different strategy) share simulations.
     """
     from repro.tuner import OBJECTIVES, STRATEGIES
-    workload = _check_workload(_string(payload, "workload", required=True))
-    gpu = _check_gpu(_string(payload, "gpu", required=True))
-    objective = _string(payload, "objective", default="cycles")
-    if objective not in OBJECTIVES:
-        raise _bad("objective", f"unknown objective {objective!r}; "
-                                f"known: {sorted(OBJECTIVES)}")
-    strategy = _string(payload, "strategy", default="hillclimb")
-    if strategy not in STRATEGIES:
-        raise _bad("strategy", f"unknown strategy {strategy!r}; "
-                               f"known: {sorted(STRATEGIES)}")
-    budget = _number(payload, "budget", 24, cast=int, minimum=1,
-                     maximum=max_budget)
-    scale = _number(payload, "scale", 1.0, minimum=1e-6, maximum=16.0)
-    seed = _number(payload, "seed", 0, cast=int, minimum=0)
-    warmups = _number(payload, "warmups", 1, cast=int, minimum=0, maximum=8)
-    return tune_job(workload, gpu, objective=objective, strategy=strategy,
-                    budget=budget, scale=scale, seed=seed, warmups=warmups)
+    return tune_job(
+        _workload(payload), _gpu(payload),
+        objective=_member(payload, "objective", OBJECTIVES, required=True,
+                          default="cycles"),
+        strategy=_member(payload, "strategy", STRATEGIES, required=True,
+                         default="hillclimb"),
+        budget=_number(payload, "budget", 24, cast=int, minimum=1,
+                       maximum=max_budget),
+        scale=_scale(payload), seed=_seed(payload),
+        warmups=_warmups(payload))
 
 
-def build_sweep_jobs(payload: dict, *, max_jobs: int) -> "list[SimJob]":
+@dataclasses.dataclass(frozen=True)
+class ServedKind:
+    """One served job kind: ``POST /v1/<name>`` and ``kind: <name>``
+    sweep entries.
+
+    ``build`` turns a validated JSON payload into the canonical job.
+    ``inline`` names the ``/metrics`` section of a kind answered inline
+    and pool-free; ``None`` sends the job through single-flight dedup,
+    the cache, admission and the pool.  ``field`` is the envelope key
+    the result is served under.  ``budgeted`` builders take the
+    serving instance's ``max_budget`` cap.
+    """
+
+    name: str
+    build: Callable[..., SimJob]
+    inline: "str | None" = None
+    field: str = "result"
+    budgeted: bool = False
+
+    @property
+    def path(self) -> str:
+        return f"/v1/{self.name}"
+
+    def job(self, payload, *, max_tune_budget: int = None) -> SimJob:
+        """Validate ``payload`` into this kind's canonical job."""
+        payload = _object(payload, "body")
+        if self.budgeted:
+            return self.build(payload, max_budget=max_tune_budget)
+        return self.build(payload)
+
+    def envelope(self, job: SimJob, value, source: str) -> dict:
+        return {"key": job.key, "source": source,
+                self.field: jsonable(value)}
+
+
+#: Every served job kind, in ``/metrics`` section order.
+SERVED = {kind.name: kind for kind in (
+    ServedKind("simulate", build_simulate_job),
+    ServedKind("estimate", build_estimate_job, inline="estimates"),
+    ServedKind("bound", build_bound_job, inline="bounds"),
+    ServedKind("cotenant", build_cotenant_job),
+    ServedKind("cluster", build_cluster_job, field="plan"),
+    ServedKind("tune", build_tune_job, budgeted=True),
+)}
+
+
+def build_sweep_jobs(payload: dict, *, max_jobs: int,
+                     max_tune_budget: int = None) -> "list[SimJob]":
     """``POST /v1/sweep`` body -> the canonical job list.
 
-    Each entry is either a full engine descriptor (``kind`` plus the
-    shared fields and ``extras``) or, for the two facade kinds, the
-    same shape the dedicated endpoints take.
+    An entry of a served kind takes the same shape its dedicated
+    endpoint does (``kind`` defaults to ``simulate``); any other engine
+    kind is a generic descriptor (``kind`` plus the shared fields and
+    ``extras``).
     """
-    entries = payload.get("jobs")
+    entries = _object(payload, "body").get("jobs")
     if not isinstance(entries, list) or not entries:
         raise _bad("jobs", "expected a non-empty list of job descriptors")
     if len(entries) > max_jobs:
         raise HttpError(413, "too_many_jobs",
                         f"sweep of {len(entries)} jobs exceeds the "
                         f"{max_jobs}-job per-request limit")
-    jobs = []
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise _bad(f"jobs[{index}]", "expected an object")
-        try:
-            jobs.append(_build_one(entry))
-        except HttpError as exc:
-            raise HttpError(exc.status, exc.code,
-                            f"jobs[{index}]: {exc.message}",
-                            detail=exc.detail) from None
-    return jobs
+    return [_indexed("jobs", index,
+                     lambda entry: _build_one(entry, max_tune_budget), entry)
+            for index, entry in enumerate(entries)]
 
 
-def _build_one(entry: dict) -> SimJob:
+def _build_one(entry, max_tune_budget: "int | None") -> SimJob:
+    entry = _object(entry, "job")
     kind = _string(entry, "kind", default="simulate")
-    if kind == "simulate":
-        return build_simulate_job(entry)
-    if kind == "estimate":
-        return build_estimate_job(entry)
-    if kind == "cluster":
-        return build_cluster_job(entry)
-    if kind == "bound":
-        return build_bound_job(entry)
-    if kind == "cotenant":
-        return build_cotenant_job(entry)
+    served = SERVED.get(kind)
+    if served is not None:
+        if "extras" in entry:
+            raise _bad("extras", f"{kind!r} entries take their fields at "
+                                 f"the top level, as POST {served.path} "
+                                 f"does")
+        return served.job(entry, max_tune_budget=max_tune_budget)
     if kind not in EXECUTORS:
         raise _bad("kind", f"unknown job kind {kind!r}; "
                            f"known: {sorted(EXECUTORS)}")
-    workload = _string(entry, "workload")
-    if workload is not None:
-        _check_workload(workload)
-    gpu = _string(entry, "gpu")
-    if gpu is not None:
-        _check_gpu(gpu)
-    extras = entry.get("extras", {})
-    if not isinstance(extras, dict):
-        raise _bad("extras", "expected an object")
+    extras = _object(entry.get("extras", {}), "extras")
+    job_fields = dict(
+        workload=_workload(entry, required=False),
+        gpu=_gpu(entry, required=False), scheme=_string(entry, "scheme"),
+        scale=_scale(entry), seed=_seed(entry), warmups=_warmups(entry))
     try:
-        return SimJob.make(
-            kind, workload=workload, gpu=gpu,
-            scheme=_string(entry, "scheme"),
-            scale=_number(entry, "scale", 1.0, minimum=1e-6, maximum=16.0),
-            seed=_number(entry, "seed", 0, cast=int, minimum=0),
-            warmups=_number(entry, "warmups", 1, cast=int, minimum=0,
-                            maximum=8),
-            **extras)
-    except TypeError as exc:
+        job = SimJob.make(kind, **job_fields, **extras)
+        json.dumps(job.descriptor(), allow_nan=False)  # finite JSON only
+    except (TypeError, ValueError) as exc:
         raise _bad("extras", str(exc)) from None
+    return job
 
 
 def jsonable(value):

@@ -17,6 +17,7 @@ import time
 from collections import Counter, deque
 
 from repro.obs.timers import PhaseTimer
+from repro.service.jobs import SERVED
 
 #: Latency reservoir size: enough for stable p99 under the smoke load,
 #: bounded so a week of traffic cannot grow it.
@@ -30,6 +31,27 @@ def percentile(sorted_values, fraction: float) -> float:
     index = min(len(sorted_values) - 1,
                 max(0, round(fraction * (len(sorted_values) - 1))))
     return sorted_values[index]
+
+
+class InlineCounter:
+    """The funnel of one inline kind: requests, cache hits, time."""
+
+    __slots__ = ("count", "cache_hits", "seconds")
+
+    def __init__(self):
+        self.count = 0
+        self.cache_hits = 0
+        self.seconds = 0.0
+
+    def observe(self, seconds: float, *, cached: bool) -> None:
+        self.count += 1
+        self.cache_hits += cached
+        self.seconds += seconds
+
+    def summary(self) -> dict:
+        return {"count": self.count, "cache_hits": self.cache_hits,
+                "mean_latency_ms": (round(self.seconds / self.count * 1e3,
+                                          3) if self.count else 0.0)}
 
 
 class ServiceMetrics:
@@ -54,16 +76,11 @@ class ServiceMetrics:
         self.queue_peak = 0
         self.batches = 0
         self.batch_jobs = 0
-        # The rung-0 fast path (POST /v1/estimate) — answered inline,
-        # never through the queue/batcher/pool, so counted separately.
-        self.estimates = 0
-        self.estimate_cache_hits = 0
-        self.estimate_seconds = 0.0
-        # The oracle-bound fast path (POST /v1/bound) — same inline
-        # discipline as estimates, its own funnel.
-        self.bounds = 0
-        self.bound_cache_hits = 0
-        self.bound_seconds = 0.0
+        # Kinds answered inline (the analytic estimate, the oracle
+        # bound) never reach the queue/batcher/pool: one funnel each,
+        # keyed by the kind's /metrics section.
+        self.inline = {kind.inline: InlineCounter()
+                       for kind in SERVED.values() if kind.inline}
         # Cache-slice transfers (shard warmup / hot-key replication).
         self.cache_exports = 0
         self.cache_imports = 0
@@ -76,18 +93,6 @@ class ServiceMetrics:
 
     def observe_latency(self, seconds: float) -> None:
         self._latencies.append(seconds)
-
-    def observe_estimate(self, seconds: float, *, cached: bool) -> None:
-        self.estimates += 1
-        if cached:
-            self.estimate_cache_hits += 1
-        self.estimate_seconds += seconds
-
-    def observe_bound(self, seconds: float, *, cached: bool) -> None:
-        self.bounds += 1
-        if cached:
-            self.bound_cache_hits += 1
-        self.bound_seconds += seconds
 
     def latency_summary(self) -> dict:
         values = sorted(self._latencies)
@@ -151,20 +156,8 @@ class ServiceMetrics:
                 "fill_ratio": (self.batch_jobs / (self.batches * batch_max)
                                if self.batches and batch_max else 0.0),
             },
-            "estimates": {
-                "count": self.estimates,
-                "cache_hits": self.estimate_cache_hits,
-                "mean_latency_ms": (round(self.estimate_seconds
-                                          / self.estimates * 1e3, 3)
-                                    if self.estimates else 0.0),
-            },
-            "bounds": {
-                "count": self.bounds,
-                "cache_hits": self.bound_cache_hits,
-                "mean_latency_ms": (round(self.bound_seconds
-                                          / self.bounds * 1e3, 3)
-                                    if self.bounds else 0.0),
-            },
+            **{section: counter.summary()
+               for section, counter in self.inline.items()},
             "latency": self.latency_summary(),
             "phase_seconds": {name: round(seconds, 6) for name, seconds
                               in self.timer.snapshot().items()},

@@ -45,6 +45,7 @@ to aggregate.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import sys
 import time
@@ -647,10 +648,14 @@ class ShardRouter:
             f"all {len(owners)} replica(s) for this key failed",
             detail={"replicas": owners, "failures": failures[:4]})
 
-    async def _post_forward(self, request: HttpRequest) -> Relay:
-        """simulate/estimate/cluster/tune: canonicalize, route, relay."""
-        payload = request.json()
-        job = _BUILDERS[request.path](payload)
+    async def _post_forward(self, request: HttpRequest,
+                            kind: jobmod.ServedKind) -> Relay:
+        """Every served kind: canonicalize, route, relay.
+
+        A ``tune`` budget is validated without a cap here: the cap is
+        each shard's own ``max_tune_budget``, enforced by the owner.
+        """
+        job = kind.job(request.json())
         served_by, relay = await self._forward(
             job.key, "POST", request.path, request.body)
         if relay.status == 200:
@@ -912,29 +917,14 @@ class ShardRouter:
                 "ring": self.ring.describe()}
 
 
-def _build_tune(payload: dict):
-    # Budget caps are a per-shard policy; the router only needs the
-    # canonical content hash, so validate against a permissive bound
-    # and let the owning shard enforce its own --max-tune-budget.
-    return jobmod.build_tune_job(payload, max_budget=1_000_000)
-
-
-_BUILDERS = {
-    "/v1/simulate": jobmod.build_simulate_job,
-    "/v1/estimate": jobmod.build_estimate_job,
-    "/v1/cluster": jobmod.build_cluster_job,
-    "/v1/tune": _build_tune,
-}
-
 _ROUTES = {
     ("GET", "/"): ShardRouter._get_index,
     ("GET", "/healthz"): ShardRouter._get_healthz,
     ("GET", "/readyz"): ShardRouter._get_readyz,
     ("GET", "/metrics"): ShardRouter._get_metrics,
-    ("POST", "/v1/simulate"): ShardRouter._post_forward,
-    ("POST", "/v1/estimate"): ShardRouter._post_forward,
-    ("POST", "/v1/cluster"): ShardRouter._post_forward,
-    ("POST", "/v1/tune"): ShardRouter._post_forward,
+    **{("POST", kind.path): functools.partial(ShardRouter._post_forward,
+                                              kind=kind)
+       for kind in jobmod.SERVED.values()},
     ("POST", "/v1/sweep"): ShardRouter._post_sweep,
     ("POST", "/v1/admin/join"): ShardRouter._post_join,
     ("POST", "/v1/admin/leave"): ShardRouter._post_leave,

@@ -19,6 +19,8 @@ import pytest
 import repro.service.core as core
 from repro.service.client import FailoverClient, ServiceError
 from repro.service.embed import EmbeddedCluster, EmbeddedService
+from repro.service.jobs import SERVED
+from tests.service.conftest import SERVED_PAYLOADS
 from repro.service.ring import HashRing
 from repro.service.shard import parse_shard_spec
 
@@ -57,18 +59,34 @@ def cluster_executed(cluster: EmbeddedCluster) -> int:
     return total
 
 
-def test_routed_response_bytes_equal_single_node():
-    """A cold request through the router must produce *byte-identical*
-    HTTP bodies to a cold request against a standalone service."""
-    payload = dict(SIM)
+@pytest.mark.parametrize("kind", sorted(SERVED))
+def test_routed_response_bytes_equal_single_node(kind):
+    """A cold request of every served kind through the router must
+    produce *byte-identical* HTTP bodies to a cold request against a
+    standalone service."""
+    path, payload = SERVED[kind].path, SERVED_PAYLOADS[kind]
     with EmbeddedCluster(shards=2, workers=0) as cluster:
-        status, routed = raw_post(cluster.router.port, "/v1/simulate",
-                                  payload)
-        assert status == 200
+        status, routed = raw_post(cluster.router.port, path, payload)
+        assert status == 200, routed
     with EmbeddedService(workers=0, cache=False) as single:
-        status, direct = raw_post(single.port, "/v1/simulate", payload)
-        assert status == 200
+        status, direct = raw_post(single.port, path, payload)
+        assert status == 200, direct
     assert routed == direct
+
+
+def test_router_lists_every_served_endpoint():
+    """The router's index covers every ``POST /v1/...`` a shard serves
+    (the cache transfer plane stays shard-internal)."""
+    with EmbeddedCluster(shards=2, workers=0) as cluster:
+        with cluster.client() as client:
+            routed = set(client._call("GET", "/")["endpoints"])
+        with cluster.shard_client(0) as shard:
+            served = {endpoint for endpoint
+                      in shard._call("GET", "/")["endpoints"]
+                      if endpoint.startswith("POST /v1/")
+                      and not endpoint.startswith("POST /v1/cache/")}
+    assert {f"POST {kind.path}" for kind in SERVED.values()} <= served
+    assert served <= routed
 
 
 def test_16_concurrent_identical_requests_execute_once(monkeypatch):
