@@ -195,7 +195,7 @@ def collect_metrics(control: ServiceClient) -> dict:
 def _section(document: dict, name: str) -> dict:
     """A /metrics section, tolerating shards that omit it.
 
-    Estimate/bound-only traffic never forms a pool batch, and a shard
+    Estimate/bound-only traffic never reaches the pool, and a shard
     can answer with a reduced document (older build, draining snapshot)
     — aggregation must degrade to zeros, not KeyError the whole run.
     """
@@ -237,8 +237,8 @@ def server_summary(before: dict, after: dict) -> dict:
             "jobs_submitted": submitted,
             "cache_hit_ratio": (round(cache_hits / submitted, 4)
                                 if submitted else 0.0),
-            # Micro-batch occupancy over the run (from the shard's
-            # cumulative counters): how full its pool batches left.
+            # The shard's cumulative `batches` fill ratio: 1.0 once it
+            # ran a job (one job per pool dispatch), 0.0 before.
             "batch_fill_ratio": round(
                 _section(after_doc, "batches").get("fill_ratio", 0.0), 4),
             "queue_peak": _section(after_doc, "queue").get("peak", 0),

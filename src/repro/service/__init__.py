@@ -6,8 +6,8 @@ A dependency-free asyncio HTTP/JSON daemon exposing the stable
 ``/readyz`` and ``/metrics``, layered on the machinery
 the batch CLIs already use: requests canonicalize to engine
 :class:`~repro.engine.job.SimJob` content hashes (single-flight dedup
-+ persistent :class:`~repro.engine.cache.ResultCache`), misses are
-micro-batched onto a bounded worker pool, and robustness —
++ persistent :class:`~repro.engine.cache.ResultCache`), each miss takes
+one slot of a bounded worker pool, and robustness —
 backpressure, deadlines, crash recovery, graceful drain — is
 first-class.  See DESIGN.md "Serving architecture".
 

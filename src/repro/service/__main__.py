@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.service",
         description=f"Serve repro.api ({'/'.join([*SERVED, 'sweep'])}) "
                     f"over HTTP/JSON with single-flight dedup, result "
-                    f"caching, micro-batching and backpressure.")
+                    f"caching and backpressure.")
     parser.add_argument("--version", action="version",
                         version=repro.version_line())
     parser.add_argument("--host", default="127.0.0.1",
@@ -67,12 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--deadline", type=float, default=30.0, metavar="S",
                         help="default/maximum per-request deadline in "
                              "seconds (default 30)")
-    parser.add_argument("--batch-max", type=int, default=8, metavar="N",
-                        help="max jobs per pool micro-batch (default 8)")
-    parser.add_argument("--batch-window", type=float, default=0.005,
-                        metavar="S",
-                        help="micro-batch collection window in seconds "
-                             "(default 0.005)")
     parser.add_argument("--drain-timeout", type=float, default=10.0,
                         metavar="S",
                         help="max seconds to wait for in-flight work on "
@@ -129,7 +123,6 @@ def config_from_args(args) -> ServiceConfig:
     return ServiceConfig(
         host=args.host, port=args.port, workers=args.workers,
         queue_depth=args.queue_depth, deadline_s=args.deadline,
-        batch_max=args.batch_max, batch_window_s=args.batch_window,
         drain_timeout_s=args.drain_timeout, cache=not args.no_cache,
         cache_root=args.cache_root, cache_token=_cache_token_from(args))
 
@@ -187,7 +180,9 @@ def _spawn_shard(index: int, args) -> "tuple[subprocess.Popen, str, int]":
     """Fork one child shard on an ephemeral port; returns its address.
 
     The child's cache slice goes under ``<cache-root>/shard-<index>``
-    so spawned shards never share a slice.  A single reader thread
+    so spawned shards never share a slice, and the child leads a
+    session of its own, so :func:`_stop_children` can reap the pool
+    workers it leaves behind if it dies.  A single reader thread
     scans the child's stdout for its listening line and then keeps
     pumping to ours with a ``[shard-N]`` prefix; this function waits
     on it for at most :data:`SPAWN_TIMEOUT_S` and kills the child if
@@ -201,8 +196,6 @@ def _spawn_shard(index: int, args) -> "tuple[subprocess.Popen, str, int]":
         "--workers", str(args.workers),
         "--queue-depth", str(args.queue_depth),
         "--deadline", str(args.deadline),
-        "--batch-max", str(args.batch_max),
-        "--batch-window", str(args.batch_window),
         "--drain-timeout", str(args.drain_timeout),
         "--cache-root", os.path.join(cache_root, f"shard-{index}"),
     ]
@@ -215,7 +208,8 @@ def _spawn_shard(index: int, args) -> "tuple[subprocess.Popen, str, int]":
         # in process listings, and the child's parser reads it there.
         env = dict(os.environ, REPRO_CACHE_TOKEN=token)
     process = subprocess.Popen(command, stdout=subprocess.PIPE,
-                               stderr=None, text=True, env=env)
+                               stderr=None, text=True, env=env,
+                               start_new_session=True)
     found: "queue.Queue[tuple | None]" = queue.Queue()
 
     def pump():
@@ -251,6 +245,12 @@ def _spawn_shard(index: int, args) -> "tuple[subprocess.Popen, str, int]":
 
 
 def _stop_children(children) -> None:
+    """Drain every spawned shard, then kill what is left of its group.
+
+    SIGTERM gives a live shard its graceful drain.  A shard that was
+    SIGKILLed earlier never shut its pool down, so its workers outlive
+    it in the shard's process group; killing the group reaps them.
+    """
     for process in children:
         if process.poll() is None:
             process.terminate()
@@ -260,6 +260,10 @@ def _stop_children(children) -> None:
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait()
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 async def serve_router(args, profile_path: str = None) -> int:

@@ -25,12 +25,11 @@ class ServiceConfig:
     beyond it answers 429 with a ``Retry-After`` hint (backpressure
     instead of unbounded memory).  ``deadline_s`` is the default
     per-request deadline (requests may ask for less via
-    ``deadline_s`` in their JSON body, never for more).  Cache misses
-    are micro-batched: a batch closes after ``batch_window_s`` or at
-    ``batch_max`` jobs, whichever comes first, amortizing pool IPC
-    without adding tail latency.  On SIGTERM the service stops
-    accepting, finishes what it admitted, and force-closes whatever
-    still runs after ``drain_timeout_s``.
+    ``deadline_s`` in their JSON body, never for more).  Each cache
+    miss waits for one of ``max(1, workers)`` pool slots and then runs
+    on its own.  On SIGTERM the service stops accepting, finishes what
+    it admitted, and force-closes whatever still runs after
+    ``drain_timeout_s``.
     """
 
     host: str = "127.0.0.1"
@@ -38,8 +37,6 @@ class ServiceConfig:
     workers: int = 1
     queue_depth: int = 64
     deadline_s: float = 30.0
-    batch_max: int = 8
-    batch_window_s: float = 0.005
     drain_timeout_s: float = 10.0
     cache: bool = True
     cache_root: "str | None" = None
@@ -65,8 +62,6 @@ class ServiceConfig:
         if self.deadline_s <= 0:
             raise ValueError(
                 f"deadline_s must be > 0, got {self.deadline_s}")
-        if self.batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
 
 
 @dataclass(frozen=True)

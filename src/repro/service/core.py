@@ -1,16 +1,15 @@
 """The asyncio simulation service.
 
 One event loop owns everything: the HTTP listener, the single-flight
-table, the admission counter and the micro-batcher.  Simulation work
-never runs on the loop — cache misses are batched and offloaded to a
-bounded pool (processes by default, one in-process worker thread when
-``workers=0``), so health checks and ``/metrics`` stay responsive
-while the pool grinds.
+table and the admission counter.  Simulation work never runs on the
+loop — each cache miss is offloaded to a bounded pool (processes by
+default, one in-process worker thread when ``workers=0``), so health
+checks and ``/metrics`` stay responsive while the pool grinds.
 
 The request pipeline, in order::
 
     parse/validate -> single-flight dedup -> ResultCache -> admission
-        -> micro-batch -> pool -> respond (+ cache fill)
+        -> pool slot -> pool -> respond (+ cache fill)
 
 * **single-flight** — requests canonicalize to
   :class:`~repro.engine.job.SimJob` content hashes; a request whose
@@ -23,10 +22,14 @@ The request pipeline, in order::
 * **backpressure** — at most ``queue_depth`` admitted-but-unfinished
   jobs; beyond that the request answers 429 + ``Retry-After`` instead
   of queueing unboundedly.
+* **pool slots** — every flight waits for one of ``max(1, workers)``
+  slots before it is handed to the pool, so the pool never queues
+  more work than it has workers and a flight still waiting for a slot
+  can be dropped.
 * **deadlines** — every waiter has one; expiry answers 504, and a
-  flight all of whose waiters expired before execution started is
+  flight all of whose waiters expired before it took a pool slot is
   dropped without ever touching the pool (cooperative cancellation).
-* **crash recovery** — a broken pool is rebuilt and the batch retried
+* **crash recovery** — a broken pool is rebuilt and the job retried
   once; a second failure surfaces as a structured 500, never a hung
   future.
 * **graceful drain** — ``request_shutdown()`` (wired to SIGTERM by the
@@ -41,6 +44,7 @@ import asyncio
 import functools
 import hmac
 import os
+import signal
 import sys
 import time
 import traceback
@@ -70,7 +74,13 @@ _LOOPBACK_HOSTS = frozenset({"127.0.0.1", "::1", "localhost"})
 
 
 def _execute_one(job: SimJob) -> tuple:
-    """Run one job in this worker, as an ``(status, ...)`` outcome."""
+    """Run one job in a pool worker, as an ``(status, ...)`` outcome.
+
+    Failures come back as ``"error"`` outcomes, never as exceptions,
+    along with a worker-clock span in the same ``(start, duration,
+    pid)`` shape the sweep runner's profiling uses, so the service's
+    ``--profile`` timeline renders identically.
+    """
     started = time.perf_counter()
     try:
         value = execute(job)
@@ -81,15 +91,20 @@ def _execute_one(job: SimJob) -> tuple:
             started, time.perf_counter() - started, os.getpid())
 
 
-def _execute_batch(batch: "list[SimJob]") -> list:
-    """Run one micro-batch inside a pool worker.
+def _reset_worker_signals() -> None:
+    """Pool-worker initializer: drop the signal wiring of the parent.
 
-    Per-job outcomes are reported individually — one failing job must
-    not poison its batchmates — along with worker-clock spans in the
-    same ``(start, duration, pid)`` shape the sweep runner's profiling
-    uses, so the service's ``--profile`` timeline renders identically.
+    A worker forked after ``loop.add_signal_handler`` inherits
+    asyncio's no-op handler and the parent's wakeup fd: it would
+    ignore SIGTERM and relay the signal to the parent's loop, which
+    then starts a drain.  Restore SIGTERM's default so a worker dies
+    on it like any process and keeps its signals to itself.  SIGINT
+    is ignored: a terminal's Ctrl-C reaches the whole process group,
+    and the parent's drain, not the workers, decides when jobs stop.
     """
-    return [_execute_one(job) for job in batch]
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 class JobFailed(Exception):
@@ -111,7 +126,7 @@ class _Flight:
         self.job = job
         self.future = future
         self.waiters = 0
-        self.started = False    # a batch picked it up
+        self.started = False    # it holds a pool slot
         self.cancelled = False  # every waiter expired before start
         self.enqueued_at = 0.0
 
@@ -134,11 +149,10 @@ class SimulationService:
         self._active_requests = 0
         self._draining = False
         self._aborted = False
-        self._queue: "asyncio.Queue[_Flight | None]" = None
         self._server = None
         self._pool = None
-        self._batcher = None
-        self._batch_tasks: "set[asyncio.Task]" = set()
+        self._slots: "asyncio.Semaphore" = None
+        self._flight_tasks: "set[asyncio.Task]" = set()
         self._connections: "set[asyncio.StreamWriter]" = set()
         self._conn_tasks: "set[asyncio.Task]" = set()
         self._shutdown_requested = None
@@ -149,13 +163,11 @@ class SimulationService:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener, spin up the pool and the batcher."""
-        self._queue = asyncio.Queue()
+        """Bind the listener and spin up the pool."""
         self._shutdown_requested = asyncio.Event()
         self._closed = asyncio.Event()
         self._pool = self._make_pool()
-        self._batcher = asyncio.create_task(self._batch_loop(),
-                                            name="repro-service-batcher")
+        self._slots = asyncio.Semaphore(max(1, self.config.workers))
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.config.host,
             port=self.config.port)
@@ -168,7 +180,8 @@ class SimulationService:
             # what tests and single-core containers want.
             return ThreadPoolExecutor(max_workers=1,
                                       thread_name_prefix="repro-sim")
-        return ProcessPoolExecutor(max_workers=self.config.workers)
+        return ProcessPoolExecutor(max_workers=self.config.workers,
+                                   initializer=_reset_worker_signals)
 
     def request_shutdown(self) -> None:
         """Begin the graceful drain (idempotent; signal-handler safe)."""
@@ -213,12 +226,9 @@ class SimulationService:
         while (self._active_requests > 0 or self._outstanding > 0) \
                 and not self._aborted and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
-        # Stop the batcher, then let any in-pool batches finish.
-        await self._queue.put(None)
-        if self._batcher is not None:
-            await self._batcher
-        if self._batch_tasks:
-            await asyncio.gather(*self._batch_tasks, return_exceptions=True)
+        # Let every admitted flight take its slot and finish.
+        if self._flight_tasks:
+            await asyncio.gather(*self._flight_tasks, return_exceptions=True)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
         # Reap idle keep-alive connections: close the transports, let
@@ -334,8 +344,7 @@ class SimulationService:
             queue_depth=self._outstanding,
             queue_capacity=self.config.queue_depth,
             draining=self._draining,
-            result_cache=self.cache,
-            batch_max=self.config.batch_max)
+            result_cache=self.cache)
 
     async def _post_pooled(self, request: HttpRequest,
                            kind: jobmod.ServedKind) -> dict:
@@ -358,7 +367,7 @@ class SimulationService:
 
         Same ``{key, source, result}`` envelope, validation, cache and
         error payloads as a pooled kind, but the work never touches
-        the admission queue, the micro-batcher or the process pool, so
+        the admission queue, the pool slots or the process pool, so
         these endpoints answer even while the pool is saturated.
         Visible in ``/metrics`` under the kind's own section (the
         ``batches`` counter does not move).
@@ -528,7 +537,7 @@ class SimulationService:
         return float(min(value, self.config.deadline_s))
 
     # ------------------------------------------------------------------
-    # the job pipeline: dedup -> cache -> admit -> batch -> pool
+    # the job pipeline: dedup -> cache -> admit -> slot -> pool
     # ------------------------------------------------------------------
 
     def _raise_queue_full(self):
@@ -569,7 +578,9 @@ class SimulationService:
         self._inflight[key] = flight
         self._outstanding += 1
         self.metrics.observe_queue_depth(self._outstanding)
-        self._queue.put_nowait(flight)
+        task = asyncio.create_task(self._run_flight(flight))
+        self._flight_tasks.add(task)
+        task.add_done_callback(self._flight_tasks.discard)
         return await self._await_flight(flight, deadline_s), "executed"
 
     async def _await_flight(self, flight: _Flight, deadline_s: float):
@@ -604,84 +615,53 @@ class SimulationService:
             self._outstanding -= 1
 
     # ------------------------------------------------------------------
-    # the micro-batcher and the pool
+    # the pool
     # ------------------------------------------------------------------
 
-    async def _batch_loop(self) -> None:
-        """Group queued flights into micro-batches; never blocks on
-        the pool — each batch runs in its own task and the pool's
-        ``max_workers`` provides the real concurrency bound."""
-        while True:
-            flight = await self._queue.get()
-            if flight is None:
-                return
-            batch = [flight]
-            window_ends = time.monotonic() + self.config.batch_window_s
-            while len(batch) < self.config.batch_max:
-                timeout = window_ends - time.monotonic()
-                if timeout <= 0:
-                    break
-                try:
-                    extra = await asyncio.wait_for(self._queue.get(),
-                                                   timeout=timeout)
-                except asyncio.TimeoutError:
-                    break
-                if extra is None:
-                    await self._queue.put(None)  # re-arm shutdown
-                    break
-                batch.append(extra)
-            task = asyncio.create_task(self._run_batch(batch))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
-
-    async def _run_batch(self, batch: "list[_Flight]") -> None:
-        live = []
-        for flight in batch:
+    async def _run_flight(self, flight: _Flight) -> None:
+        """Take a pool slot, run the flight's job there, settle it."""
+        async with self._slots:
             if flight.cancelled:
-                continue
+                return
             flight.started = True
             self.metrics.timer.add(
                 "queue_wait", time.perf_counter() - flight.enqueued_at)
-            live.append(flight)
-        if not live:
-            return
-        jobs = [flight.job for flight in live]
-        started = time.perf_counter()
-        loop = asyncio.get_running_loop()
-        try:
-            outcomes = await loop.run_in_executor(self._pool,
-                                                  _execute_batch, jobs)
-        except BrokenExecutor:
-            # A worker died (OOM-kill, segfault in an extension, ...).
-            # Rebuild the pool and retry the whole batch once; pool
-            # rebuild is cheap next to losing admitted work.
-            self.metrics.worker_crashes += 1
-            self.metrics.retries += 1
-            self._pool.shutdown(wait=False)
-            self._pool = self._make_pool()
+            started = time.perf_counter()
+            loop = asyncio.get_running_loop()
+            pool = self._pool
             try:
-                outcomes = await loop.run_in_executor(self._pool,
-                                                      _execute_batch, jobs)
+                outcome = await loop.run_in_executor(pool, _execute_one,
+                                                     flight.job)
             except BrokenExecutor:
-                self.metrics.timer.add("execute",
-                                       time.perf_counter() - started)
-                for flight in live:
+                # A worker died (OOM-kill, segfault in an extension, ...).
+                # Rebuild the pool -- once, however many flights saw it
+                # break -- and retry the job once; a rebuild is cheap
+                # next to losing admitted work.
+                self.metrics.retries += 1
+                if self._pool is pool:
+                    self.metrics.worker_crashes += 1
+                    pool.shutdown(wait=False)
+                    self._pool = self._make_pool()
+                try:
+                    outcome = await loop.run_in_executor(
+                        self._pool, _execute_one, flight.job)
+                except BrokenExecutor:
+                    self.metrics.timer.add("execute",
+                                           time.perf_counter() - started)
                     self._fail_flight(flight, "simulation worker crashed "
-                                              "twice running this batch")
-                return
+                                              "twice running this job")
+                    return
         self.metrics.timer.add("execute", time.perf_counter() - started)
-        self.metrics.batches += 1
-        self.metrics.batch_jobs += len(live)
-        for flight, outcome in zip(live, outcomes):
-            status, value, span_start, span_duration, pid = outcome
-            if self.profile is not None:
-                self.profile.job_span(flight.job.label(), span_start,
-                                      span_duration, pid)
-            if status == "ok":
-                self._finish_flight(flight, value)
-            else:
-                self.metrics.job_errors += 1
-                self._fail_flight(flight, value)
+        self.metrics.dispatches += 1
+        status, value, span_start, span_duration, pid = outcome
+        if self.profile is not None:
+            self.profile.job_span(flight.job.label(), span_start,
+                                  span_duration, pid)
+        if status == "ok":
+            self._finish_flight(flight, value)
+        else:
+            self.metrics.job_errors += 1
+            self._fail_flight(flight, value)
 
     def _store(self, job: SimJob, value) -> None:
         if self.cache is not None:

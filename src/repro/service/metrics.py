@@ -74,10 +74,9 @@ class ServiceMetrics:
         self.worker_crashes = 0
         self.rejected_queue_full = 0
         self.queue_peak = 0
-        self.batches = 0
-        self.batch_jobs = 0
+        self.dispatches = 0  # jobs the pool ran to an outcome
         # Kinds answered inline (the analytic estimate, the oracle
-        # bound) never reach the queue/batcher/pool: one funnel each,
+        # bound) never reach the queue/pool: one funnel each,
         # keyed by the kind's /metrics section.
         self.inline = {kind.inline: InlineCounter()
                        for kind in SERVED.values() if kind.inline}
@@ -106,8 +105,7 @@ class ServiceMetrics:
         }
 
     def snapshot(self, *, queue_depth: int, queue_capacity: int,
-                 draining: bool, result_cache=None,
-                 batch_max: int = None) -> dict:
+                 draining: bool, result_cache=None) -> dict:
         """The ``/metrics`` document (see DESIGN.md "Serving")."""
         import repro
         from repro.engine.job import ENGINE_VERSION
@@ -145,16 +143,14 @@ class ServiceMetrics:
                 "peak": self.queue_peak,
                 "capacity": queue_capacity,
             },
+            # Pool dispatches, one job each, under the section name
+            # and keys that perfbench, loadgen and CI read.
             "batches": {
-                "count": self.batches,
-                "jobs": self.batch_jobs,
-                "mean_size": (self.batch_jobs / self.batches
-                              if self.batches else 0.0),
-                # Occupancy against the micro-batcher's window cap:
-                # fill_ratio 1.0 means every batch left the window full.
-                "capacity": batch_max,
-                "fill_ratio": (self.batch_jobs / (self.batches * batch_max)
-                               if self.batches and batch_max else 0.0),
+                "count": self.dispatches,
+                "jobs": self.dispatches,
+                "mean_size": 1.0 if self.dispatches else 0.0,
+                "capacity": 1,
+                "fill_ratio": 1.0 if self.dispatches else 0.0,
             },
             **{section: counter.summary()
                for section, counter in self.inline.items()},

@@ -1,10 +1,11 @@
-"""Batch occupancy: the worker-side batch loop and the ``/metrics`` view.
+"""Pool dispatch: the worker-side job runner and the ``/metrics`` view.
 
-The micro-batcher already counts batches and jobs; this file pins the
-occupancy section of the metrics snapshot (``capacity``/``fill_ratio``
-against the configured ``batch_max``) and the worker function that
-runs one micro-batch: outcomes in submission order, with per-job
-error isolation.
+Every cache miss is one pool dispatch of one job.  This file pins the
+``batches`` section of the metrics snapshot, whose keys perfbench,
+loadgen and CI read (``count`` = ``jobs`` = dispatches, ``capacity``
+1), and the worker function that runs one job: its outcome equals
+in-process ``execute``, and a failing job comes back as an
+``"error"`` outcome instead of raising.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from repro.engine.executors import execute
 from repro.engine.job import SimJob
 from repro.gpu.metrics import metrics_fingerprint
-from repro.service.core import _execute_batch
+from repro.service.core import _execute_one
 from repro.service.metrics import ServiceMetrics
 
 
@@ -22,51 +23,36 @@ def simulate_job(workload: str, scheme: str, seed: int = 0) -> SimJob:
 
 
 class TestMetricsSnapshot:
-    def snapshot(self, metrics, **overrides):
-        kwargs = {"queue_depth": 0, "queue_capacity": 64,
-                  "draining": False, "batch_max": 8}
-        kwargs.update(overrides)
-        return metrics.snapshot(**kwargs)
+    def snapshot(self, metrics):
+        return metrics.snapshot(queue_depth=0, queue_capacity=64,
+                                draining=False)
 
     def test_occupancy_fields(self):
         metrics = ServiceMetrics()
-        metrics.batches = 2
-        metrics.batch_jobs = 12
+        metrics.dispatches = 12
         batches = self.snapshot(metrics)["batches"]
-        assert batches["count"] == 2
-        assert batches["jobs"] == 12
-        assert batches["mean_size"] == 6.0
-        assert batches["capacity"] == 8
-        assert batches["fill_ratio"] == 12 / 16
+        assert batches == {"count": 12, "jobs": 12, "mean_size": 1.0,
+                           "capacity": 1, "fill_ratio": 1.0}
 
     def test_occupancy_zero_safe(self):
         batches = self.snapshot(ServiceMetrics())["batches"]
-        assert batches["fill_ratio"] == 0.0
-        assert batches["capacity"] == 8
-
-    def test_snapshot_without_batch_max(self):
-        # Older callers that omit batch_max still get a document.
-        batches = ServiceMetrics().snapshot(
-            queue_depth=0, queue_capacity=4, draining=False)["batches"]
-        assert batches["capacity"] is None
-        assert batches["fill_ratio"] == 0.0
+        assert batches == {"count": 0, "jobs": 0, "mean_size": 0.0,
+                           "capacity": 1, "fill_ratio": 0.0}
 
 
-class TestWorkerGrouping:
-    def test_outcomes_keep_submission_order(self):
-        # Interleave two kernels so index bookkeeping is exercised.
-        batch = [simulate_job("NN", "BSL"), simulate_job("ATX", "BSL"),
-                 simulate_job("NN", "RD"), simulate_job("ATX", "RD")]
-        outcomes = _execute_batch(batch)
-        assert [o[0] for o in outcomes] == ["ok"] * 4
-        for job, got in zip(batch, outcomes):
+class TestExecuteOne:
+    def test_outcome_equals_in_process_execute(self):
+        for job in (simulate_job("NN", "BSL"), simulate_job("ATX", "RD")):
+            status, value, _, duration, _ = _execute_one(job)
+            assert status == "ok"
+            assert duration >= 0.0
             assert metrics_fingerprint(execute(job)) == \
-                metrics_fingerprint(got[1])
+                metrics_fingerprint(value)
 
-    def test_error_isolation_survives_grouping(self):
+    def test_bad_job_is_an_error_outcome(self):
         bad = SimJob.make("simulate", workload="NO-SUCH-APP",
                           gpu="Tesla K40", scheme="BSL", scale=0.3,
                           seed=0, warmups=1)
-        batch = [simulate_job("NN", "BSL"), bad, simulate_job("NN", "RD")]
-        outcomes = _execute_batch(batch)
-        assert [o[0] for o in outcomes] == ["ok", "error", "ok"]
+        status, message, *_ = _execute_one(bad)
+        assert status == "error"
+        assert "NO-SUCH-APP" in message

@@ -144,3 +144,70 @@ class TestSpawnShardDeadline:
             ["--router", "--spawn-shards", "1"])
         with pytest.raises(RuntimeError, match="exited \\(status 1\\)"):
             launcher._spawn_shard(0, args)
+
+
+class TestWorkerSignals:
+    """A pool worker forked after the launcher wired SIGTERM to the
+    drain must still die on SIGTERM, and must not relay the signal to
+    the parent's event loop."""
+
+    def test_pool_worker_dies_on_sigterm_without_relaying_it(self):
+        import asyncio
+        from concurrent.futures import BrokenExecutor
+
+        from repro.service.config import ServiceConfig
+        from repro.service.core import SimulationService
+
+        fired = []
+
+        async def probe():
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, fired.append, "TERM")
+            pool = SimulationService(
+                ServiceConfig(workers=1, cache=False))._make_pool()
+            pid = await loop.run_in_executor(pool, os.getpid)
+            try:
+                pending = loop.run_in_executor(pool, time.sleep, 30)
+                os.kill(pid, signal.SIGTERM)
+                with pytest.raises(BrokenExecutor):
+                    await asyncio.wait_for(pending, timeout=10)
+                await asyncio.sleep(0.2)  # a relayed signal would land
+            finally:
+                loop.remove_signal_handler(signal.SIGTERM)
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                pool.shutdown(wait=True, cancel_futures=True)
+
+        asyncio.run(probe())
+        assert fired == []
+
+
+class TestStopChildren:
+    def test_orphans_in_a_dead_shards_group_are_reaped(self):
+        """A SIGKILLed shard leaves its pool workers behind in its
+        process group; stopping the children must kill them too."""
+        import select
+
+        import repro.service.__main__ as launcher
+
+        # The orphan inherits the pipe: EOF on it means the orphan died.
+        child = subprocess.Popen(
+            ["sh", "-c", "sleep 60 & echo $!; wait"],
+            stdout=subprocess.PIPE, text=True, start_new_session=True)
+        orphan = int(child.stdout.readline())
+        try:
+            child.kill()
+            child.wait(timeout=10)
+            assert not select.select([child.stdout], [], [], 0.2)[0]
+            launcher._stop_children([child])
+            assert select.select([child.stdout], [], [], 10)[0], \
+                "orphan survived _stop_children"
+            assert child.stdout.read() == ""
+        finally:
+            try:
+                os.kill(orphan, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.stdout.close()

@@ -4,7 +4,7 @@ Every test talks HTTP to an :class:`~repro.service.embed.EmbeddedService`
 through the stdlib client.  Determinism tricks:
 
 * ``workers=0`` runs simulations on one in-process worker thread, so
-  ``repro.service.core._execute_batch`` is monkeypatchable — tests gate
+  ``repro.service.core._execute_one`` is monkeypatchable — tests gate
   it on a :class:`threading.Event` to freeze "a job is executing"
   states instead of sleeping;
 * the event loop stays responsive while a job is frozen (that is the
@@ -14,6 +14,7 @@ through the stdlib client.  Determinism tricks:
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
@@ -37,25 +38,23 @@ def wait_until(predicate, timeout: float = 10.0, interval: float = 0.01):
 
 
 class GatedExecutor:
-    """Wrap the real batch executor behind a release gate + counter."""
+    """Wrap the real job executor behind a release gate + job log."""
 
     def __init__(self):
         self.release = threading.Event()
-        self.calls = 0
-        self.jobs_seen = 0
-        self._real = core._execute_batch
+        self.jobs = []
+        self._real = core._execute_one
 
-    def __call__(self, batch):
-        self.calls += 1
-        self.jobs_seen += len(batch)
+    def __call__(self, job):
+        self.jobs.append(job)
         assert self.release.wait(timeout=30.0), "gate never released"
-        return self._real(batch)
+        return self._real(job)
 
 
 @pytest.fixture
 def gate(monkeypatch):
     gated = GatedExecutor()
-    monkeypatch.setattr(core, "_execute_batch", gated)
+    monkeypatch.setattr(core, "_execute_one", gated)
     yield gated
     gated.release.set()  # never leave a worker thread frozen
 
@@ -126,8 +125,7 @@ class TestSingleFlightDedup:
             thread.join(timeout=30.0)
 
         assert not errors
-        assert gate.calls == 1, "more than one batch executed"
-        assert gate.jobs_seen == 1, "more than one simulator execution"
+        assert len(gate.jobs) == 1, "more than one simulator execution"
         direct = canonical_metrics(
             simulate("NN", "GTX980", scale=0.2, seed=7))
         assert all(entry["result"] == direct for entry in results)
@@ -222,22 +220,29 @@ class TestDeadlines:
 
     def test_unstarted_job_is_cancelled_cooperatively(
             self, service_factory, gate):
-        # A wide batch window keeps the flight in batch assembly past
-        # its deadline; with no waiters left it must be dropped before
-        # the pool ever sees it.
-        service = service_factory(workers=0, cache=False,
-                                  batch_window_s=0.6, batch_max=4)
+        # The first job holds the only pool slot at the gate, so the
+        # second waits for a slot past its deadline; with no waiters
+        # left it must be dropped before the pool ever sees it.
+        service = service_factory(workers=0, cache=False)
+        def hold_the_slot():
+            with service.client() as holder:
+                holder.simulate(**SIM)
+
+        first = threading.Thread(target=hold_the_slot)
+        first.start()
         client = service.client()
+        assert wait_until(lambda: len(gate.jobs) == 1)
         with pytest.raises(ServiceError) as excinfo:
-            client.simulate(deadline_s=0.05, **SIM)
+            client.simulate(deadline_s=0.05, **dict(SIM, seed=8))
         assert excinfo.value.status == 504
+        assert client.metrics()["jobs"]["cancelled"] == 1
         gate.release.set()
-        assert wait_until(
-            lambda: client.metrics()["jobs"]["cancelled"] == 1)
+        first.join(timeout=30.0)
+        assert not first.is_alive()
         snapshot = client.metrics()
-        assert snapshot["jobs"]["executed"] == 0
+        assert snapshot["jobs"]["executed"] == 1
         assert snapshot["queue"]["depth"] == 0
-        assert gate.jobs_seen == 0
+        assert [job.seed for job in gate.jobs] == [7]
         client.close()
 
     def test_request_deadline_capped_by_config(self, service_factory):
@@ -249,20 +254,70 @@ class TestDeadlines:
         client.close()
 
 
+class TestPoolSlots:
+    def test_no_head_of_line_blocking_between_sweep_jobs(
+            self, service_factory, monkeypatch):
+        """Each miss of a sweep is its own pool dispatch: a request
+        deduped onto the first answers while the second is still
+        held at its gate."""
+        real = core._execute_one
+        gates = {7: threading.Event(), 8: threading.Event()}
+        seen = []
+
+        def gated(job):
+            seen.append(job.seed)
+            assert gates[job.seed].wait(timeout=30.0), "gate never released"
+            return real(job)
+
+        monkeypatch.setattr(core, "_execute_one", gated)
+        service = service_factory(workers=0, cache=False)
+        answered = []
+
+        def sweep_both():
+            with service.client() as sweeper:
+                sweeper.sweep([SIM, dict(SIM, seed=8)])
+
+        def repeat_first():
+            with service.client() as repeater:
+                answered.append(repeater.simulate(full=True, **SIM))
+
+        sweep = threading.Thread(target=sweep_both)
+        sweep.start()
+        poll = service.client()
+        repeat = threading.Thread(target=repeat_first)
+        try:
+            assert wait_until(lambda: seen == [7])
+            repeat.start()
+            assert wait_until(
+                lambda: poll.metrics()["jobs"]["dedup_hits"] == 1)
+            gates[7].set()
+            repeat.join(timeout=15.0)
+            assert answered, "the deduped request waited on its sweep-mate"
+            assert answered[0]["source"] == "inflight"
+            assert wait_until(lambda: seen == [7, 8])
+            assert sweep.is_alive(), "the sweep-mate was never held"
+        finally:
+            gates[7].set()
+            gates[8].set()
+            sweep.join(timeout=30.0)
+            repeat.join(timeout=30.0)
+        poll.close()
+
+
 class TestWorkerCrashRecovery:
     def test_broken_pool_retries_once_then_succeeds(
             self, service_factory, monkeypatch):
-        real = core._execute_batch
+        real = core._execute_one
         state = {"calls": 0}
 
-        def flaky(batch):
+        def flaky(job):
             state["calls"] += 1
             if state["calls"] == 1:
                 from concurrent.futures import BrokenExecutor
                 raise BrokenExecutor("worker died")
-            return real(batch)
+            return real(job)
 
-        monkeypatch.setattr(core, "_execute_batch", flaky)
+        monkeypatch.setattr(core, "_execute_one", flaky)
         service = service_factory(workers=0, cache=False)
         client = service.client()
         served = client.simulate(full=True, **SIM)
@@ -272,13 +327,46 @@ class TestWorkerCrashRecovery:
         assert snapshot["jobs"]["retries"] == 1
         client.close()
 
+    def test_concurrent_crashes_rebuild_the_pool_once(
+            self, service_factory, monkeypatch):
+        """Two jobs that see the same pool break are both retried, on
+        one rebuilt pool."""
+        from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+
+        real = core._execute_one
+        both_running = threading.Barrier(2, timeout=10.0)
+        calls = itertools.count(1)  # next() is atomic across threads
+        state = {"pools": 0}
+
+        def crash_first_two(job):
+            if next(calls) <= 2:
+                both_running.wait()
+                raise BrokenExecutor("worker died")
+            return real(job)
+
+        def make_pool(self):
+            state["pools"] += 1
+            return ThreadPoolExecutor(max_workers=2)
+
+        monkeypatch.setattr(core, "_execute_one", crash_first_two)
+        monkeypatch.setattr(core.SimulationService, "_make_pool", make_pool)
+        service = service_factory(workers=2, cache=False)
+        client = service.client()
+        entries = client.sweep([SIM, dict(SIM, seed=8)])
+        assert [entry["source"] for entry in entries] == ["executed"] * 2
+        snapshot = client.metrics()
+        assert snapshot["jobs"]["worker_crashes"] == 1
+        assert snapshot["jobs"]["retries"] == 2
+        assert state["pools"] == 2
+        client.close()
+
     def test_double_crash_is_structured_500(self, service_factory,
                                             monkeypatch):
-        def always_broken(batch):
+        def always_broken(job):
             from concurrent.futures import BrokenExecutor
             raise BrokenExecutor("worker died again")
 
-        monkeypatch.setattr(core, "_execute_batch", always_broken)
+        monkeypatch.setattr(core, "_execute_one", always_broken)
         service = service_factory(workers=0, cache=False)
         client = service.client()
         with pytest.raises(ServiceError) as excinfo:
